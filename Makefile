@@ -20,8 +20,8 @@ vet:
 test: build
 	$(GO) test ./...
 
-# The parallel expansion driver and the sharded profile-cache warm must be
-# race-clean; CI runs this as a separate job.
+# The sharded profile-cache warm must be race-clean; CI runs this as a
+# separate job.
 test-race:
 	$(GO) test -race ./...
 
@@ -74,6 +74,6 @@ bench-json:
 	@echo wrote BENCH_$(N).json
 
 # One-iteration smoke for CI: every benchmark must at least run (the
-# RecExpand pattern also covers the RecExpandParallel workers sweep).
+# RecExpand pattern also covers the RecExpandParallel warm-shard sweep).
 bench-smoke:
 	$(GO) test -run '^$$' -bench RecExpand -benchtime 1x .

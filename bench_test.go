@@ -391,16 +391,14 @@ func BenchmarkRecExpandDeepChainReference3000(b *testing.B) {
 	benchRecExpandDeepChain(b, 2900, 100, true)
 }
 
-// --- Parallel driver (workers sweep; DESIGN.md §2.5) -----------------------
+// --- Sharded profile warm (workers sweep; DESIGN.md §2.5) ------------------
 //
-// The three shapes stress the sharded postorder driver differently: the
-// wide SYNTH tree offers many unevenly sized sibling units, the deep chain
-// is the adversarially sequential shape (the overflow up-set is a path, so
-// parallelism is bounded by the bushy bottom), and the forest of identical
-// bushy subtrees is the maximally parallel shape (k equal units, no
-// residual work below the root). Results are bit-identical across worker
-// counts; only wall-clock may differ. On a single-core host the >1-worker
-// rows measure the sharding overhead rather than any speedup.
+// Options.Workers shards only the initial profile warm; the expansion walk
+// is sequential. The three shapes split differently: the wide SYNTH tree
+// into many unevenly sized shards, the deep chain mostly inside its bushy
+// bottom (the spine is one long path the join finishes sequentially), and
+// the forest of identical bushy subtrees into k equal shards. Results are
+// bit-identical across worker counts; only wall-clock may differ.
 
 func benchRecExpandWorkers(b *testing.B, in *core.Instance) {
 	M := in.M(core.BoundMid)

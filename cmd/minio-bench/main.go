@@ -50,7 +50,7 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 2a, 2b, 2c, 4, 5, 6, 7, 8, 9, 10, 11, perf, huge, all")
 	scale := flag.String("scale", "small", "dataset scale: small or paper")
 	seed := flag.Int64("seed", 9025, "dataset seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "instances in flight for the dataset figures; shards of the expansion engine's initial profile warm for -fig perf and huge (0 = GOMAXPROCS; for the warm, auto on trees of 4096+ nodes)")
 	cacheBudgetStr := flag.String("cache-budget", "", "resident-byte budget of the expansion engine's profile caches, e.g. 64MiB (empty or 0 = unlimited); results are identical for every budget")
 	csv := flag.String("csv", "", "write the profile of the selected figure as CSV to this file")
 	schedOut := flag.String("sched-out", "", "with -fig huge: stream the unbounded run's schedule to this file (one id per line) instead of discarding it")
@@ -318,13 +318,13 @@ func profileFigure(name, dataset string, bound core.Bound, scale string, seed in
 	return nil
 }
 
-// perfFigure times RECEXPAND on the sequential incremental engine, the
-// sharded parallel engine (workers column; 0 means GOMAXPROCS) and the
-// frozen reference engine, on uniform SYNTH trees, deep-chain adversarial
-// instances and a forest of identical bushy subtrees (the maximally
-// parallel shape). All three engines produce identical results; the
-// reference is skipped where its quadratic behaviour would take minutes
-// ("-" in the table).
+// perfFigure times RECEXPAND on the incremental engine with a sequential
+// profile warm, with the warm sharded over -workers goroutines (workers
+// column; 0 means GOMAXPROCS), and on the frozen reference engine, on
+// uniform SYNTH trees, deep-chain adversarial instances and a forest of
+// identical bushy subtrees (the shape the sharded warm splits best). All
+// three runs produce identical results; the reference is skipped where its
+// quadratic behaviour would take minutes ("-" in the table).
 func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -370,7 +370,7 @@ func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error 
 		cases = append(cases, caze{name: fmt.Sprintf("forest-%d", in.Tree.N()), in: in})
 	}
 	tab := stats.NewTable("instance", "n", "sequential", fmt.Sprintf("workers=%d", workers),
-		"par_speedup", "reference", "ref_speedup", "io", "expansions")
+		"shard_speedup", "reference", "ref_speedup", "io", "expansions")
 	for _, c := range cases {
 		M := c.in.M(core.BoundMid)
 		start := time.Now()
@@ -382,11 +382,11 @@ func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error 
 		start = time.Now()
 		parRes, err := expand.RecExpand(c.in.Tree, M, expand.Options{MaxPerNode: 2, Workers: workers, CacheBudget: cacheBudget, Ctx: runCtx})
 		if err != nil {
-			return fmt.Errorf("%s (parallel): %w", c.name, err)
+			return fmt.Errorf("%s (sharded warm): %w", c.name, err)
 		}
 		par := time.Since(start)
 		if parRes.IO != res.IO || parRes.Expansions != res.Expansions {
-			return fmt.Errorf("%s: parallel engine disagrees: io %d vs %d", c.name, parRes.IO, res.IO)
+			return fmt.Errorf("%s: sharded-warm run disagrees: io %d vs %d", c.name, parRes.IO, res.IO)
 		}
 		refCol, refSpeedCol := "-", "-"
 		if c.refToo {
@@ -408,7 +408,7 @@ func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error 
 			refCol, refSpeedCol,
 			fmt.Sprint(res.IO), fmt.Sprint(res.Expansions))
 	}
-	fmt.Println("RECEXPAND wall-clock: sequential vs sharded-parallel vs frozen reference (identical results):")
+	fmt.Println("RECEXPAND wall-clock: sequential warm vs sharded warm vs frozen reference (identical results):")
 	return tab.Write(os.Stdout)
 }
 
@@ -424,20 +424,10 @@ func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error 
 // schedule is consumed segment by segment — written to -sched-out or
 // counted and discarded — so the n-word schedule slice is never built and
 // the schedule ropes are handed back to the cache arena as the traversal
-// streams out (DESIGN.md §2.8).
-//
-// The engine runs sequentially unless -workers is given explicitly: the
-// peak_resident column reports the SHARED cache, and in the parallel
-// driver every unit-local cache carries its own budget on top of it, so
-// an auto-parallel run would under-state the process footprint the table
-// is meant to bound. With -workers > 1 the caveat is printed.
+// streams out (DESIGN.md §2.8). -workers shards the initial profile warm;
+// its warmers account into the same resident-byte counter, so
+// peak_resident covers the whole cache for every setting.
 func hugeFigure(scale string, seed int64, workers int, cacheBudget int64, schedOut string) error {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > 1 {
-		fmt.Printf("note: workers=%d — peak_resident covers the shared cache only; each unit-local cache holds its own budget on top\n", workers)
-	}
 	n := 1_000_000
 	if scale == "paper" {
 		n = 10_000_000

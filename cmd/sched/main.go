@@ -13,9 +13,10 @@
 //	sched -tree huge.json -mid -alg RecExpand -stream-sched sched.txt -checkpoint run.ckpt -resume
 //	sched -repair-sched sched.txt.partial
 //
-// -workers shards the expansion engine's postorder walk; -cache-budget
-// bounds the resident bytes of its profile caches (out-of-core-scale
-// trees). Both knobs change only time and memory, never the result.
+// -workers shards the expansion engine's initial profile warm;
+// -cache-budget bounds the resident bytes of its profile cache
+// (out-of-core-scale trees). Both knobs change only time and memory, never
+// the result.
 // -stream-sched writes the traversal straight to disk segment by segment
 // (tree.WriteSchedule over the engine's streamed emission), so huge trees
 // are scheduled without ever materializing the n-word schedule slice; the
@@ -60,7 +61,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print the step-by-step memory trace")
 	dot := flag.String("dot", "", "write a Graphviz rendering (tree + schedule steps) to this file")
 	doSearch := flag.Bool("search", false, "post-optimize each schedule with local search")
-	workers := flag.Int("workers", 0, "expansion-engine workers: 0 = auto (GOMAXPROCS on large trees), 1 = sequential; results are identical for every setting")
+	workers := flag.Int("workers", 0, "shards of the expansion engine's initial profile warm: 0 = auto (GOMAXPROCS on trees of 4096+ nodes), 1 = sequential; results are identical for every setting")
 	cacheBudget := flag.String("cache-budget", "", "resident-byte budget of the expansion engine's profile caches, e.g. 64MiB (empty or 0 = unlimited); results are identical for every budget")
 	out := flag.String("o", "", "write the last algorithm's full traversal (σ, τ) as JSON to this file")
 	streamSched := flag.String("stream-sched", "", "stream the schedule to this file, one node id per line, without materializing it (RecExpand/FullRecExpand only)")
@@ -168,13 +169,8 @@ func runRepair(path string) error {
 // engine's deterministic re-emission is skipped past the ids already on
 // disk, so only the missing suffix is ever written.
 func runStream(ctx context.Context, treePath string, M int64, mid bool, alg string, workers int, cacheBudget int64, out, ckptPath string, ckptInterval int, resume bool) error {
-	maxPerNode := 0
-	switch core.Algorithm(alg) {
-	case core.RecExpand:
-		maxPerNode = 2
-	case core.FullRecExpand:
-		maxPerNode = 0
-	default:
+	a := core.Algorithm(alg)
+	if a != core.RecExpand && a != core.FullRecExpand {
 		return fmt.Errorf("-stream-sched supports RecExpand and FullRecExpand, not %q", alg)
 	}
 	in, M, err := loadInstance(treePath, M, mid)
@@ -183,22 +179,14 @@ func runStream(ctx context.Context, treePath string, M int64, mid bool, alg stri
 	}
 	fmt.Printf("%s  LB=%d Peak_incore=%d M=%d\n", in.Tree.String(), in.LB, in.Peak, M)
 
-	opts := expand.Options{
-		MaxPerNode: maxPerNode, Workers: workers, CacheBudget: cacheBudget, Ctx: ctx,
-		Checkpoint: expand.CheckpointOptions{Path: ckptPath, Interval: ckptInterval},
+	runner, err := newRunner(ctx, workers, cacheBudget, ckptPath, ckptInterval, resume)
+	if err != nil {
+		return err
 	}
 	partial := out + ".partial"
 	var skip int64
 	var f *os.File
 	if resume {
-		// A checkpoint may legitimately be missing (the run was killed
-		// before the first durable write): resume then degrades to a fresh
-		// run. Any other stat failure is a real error.
-		if _, err := os.Stat(ckptPath); err == nil {
-			opts.ResumeFrom = ckptPath
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
 		ids, complete, rerr := tree.RepairScheduleFile(partial)
 		switch {
 		case rerr == nil && complete:
@@ -229,14 +217,13 @@ func runStream(ctx context.Context, treePath string, M int64, mid bool, alg stri
 		return err
 	}
 
-	eng := expand.NewEngine()
-	var res *expand.Result
+	var res *core.Result
 	var rerr error
 	// faultinject.NewWriter is an identity wrapper on default builds; under
 	// the faultinject tag it lets the robustness harness fail this stream
 	// at an exact byte offset.
 	n, werr := tree.WriteScheduleAt(faultinject.NewWriter(f), skip, func(yield func(seg []int) bool) bool {
-		res, rerr = eng.RecExpandStream(in.Tree, M, opts, yield)
+		res, rerr = runner.RunStream(a, in.Tree, M, yield)
 		return rerr == nil
 	})
 	if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
@@ -261,12 +248,30 @@ func runStream(ctx context.Context, treePath string, M int64, mid bool, alg stri
 	if err := ckpt.CommitFile(f, partial, out); err != nil {
 		return err
 	}
-	st := eng.CacheStats()
-	fmt.Printf("%s IO=%d performance=%.4f expansions=%d peak_resident_cache=%.1fMiB\n",
-		alg, res.IO, float64(M+res.IO)/float64(M), res.Expansions,
-		float64(st.PeakResidentBytes)/(1<<20))
+	fmt.Printf("%s IO=%d performance=%.4f peak_resident_cache=%.1fMiB\n",
+		alg, res.IO, res.Performance(M), float64(runner.CacheStats().PeakResidentBytes)/(1<<20))
 	fmt.Printf("%d-step schedule streamed to %s\n", skip+n, out)
 	return nil
+}
+
+// newRunner builds the engine runner of both scheduling paths. With
+// resume, a checkpoint may legitimately be missing (the run was killed
+// before its first durable write): the run then starts fresh. Any other
+// stat failure is a real error.
+func newRunner(ctx context.Context, workers int, cacheBudget int64, ckptPath string, ckptInterval int, resume bool) (*core.Runner, error) {
+	runner := core.NewRunner(workers)
+	runner.CacheBudget = cacheBudget
+	runner.Ctx = ctx
+	runner.CheckpointPath = ckptPath
+	runner.CheckpointInterval = ckptInterval
+	if resume {
+		if _, err := os.Stat(ckptPath); err == nil {
+			runner.ResumeFrom = ckptPath
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	}
+	return runner, nil
 }
 
 func run(ctx context.Context, treePath string, M int64, mid bool, alg string, trace bool, dot string, doSearch bool, workers int, cacheBudget int64, out, ckptPath string, ckptInterval int, resume bool) error {
@@ -289,19 +294,9 @@ func run(ctx context.Context, treePath string, M int64, mid bool, alg string, tr
 		header = append(header, "IO_after_search")
 	}
 	tab := stats.NewTable(header...)
-	runner := core.NewRunner(workers)
-	runner.CacheBudget = cacheBudget
-	runner.Ctx = ctx
-	runner.CheckpointPath = ckptPath
-	runner.CheckpointInterval = ckptInterval
-	if resume {
-		// Same contract as the streaming path: a checkpoint that was never
-		// committed means the run starts from scratch, not an error.
-		if _, err := os.Stat(ckptPath); err == nil {
-			runner.ResumeFrom = ckptPath
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
+	runner, err := newRunner(ctx, workers, cacheBudget, ckptPath, ckptInterval, resume)
+	if err != nil {
+		return err
 	}
 	var lastSched tree.Schedule
 	for _, a := range algs {

@@ -119,8 +119,27 @@ func TestDrainSIGTERM(t *testing.T) {
 		done <- result{status: resp.StatusCode, body: b, err: err}
 	}()
 
-	// Let the request get admitted and the engine start, then drain.
-	time.Sleep(300 * time.Millisecond)
+	// Drain only once the engine has provably started: its first committed
+	// checkpoint is on disk (the server commits to 200 before the engine
+	// runs), or the request has already finished. A drain that lands
+	// before the request reaches an engine is correctly answered with a
+	// 503, which is not the mid-run drain this test is about; a fixed
+	// sleep cannot rule that out on a loaded host.
+	var res result
+	finished := false
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		select {
+		case res = <-done:
+			finished = true
+		default:
+		}
+		if started, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt")); finished || len(started) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the engine wrote no checkpoint and the request did not finish within 2m")
+		}
+	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
@@ -134,7 +153,9 @@ func TestDrainSIGTERM(t *testing.T) {
 		t.Fatalf("wait: %v", werr)
 	}
 
-	res := <-done
+	if !finished {
+		res = <-done
+	}
 	if res.err != nil {
 		t.Fatalf("in-flight client: %v", res.err)
 	}

@@ -52,7 +52,7 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:8437", "listen address (host:port; :0 picks a free port)")
 	budget := flag.String("budget", "1GiB", "global resident-byte budget partitioned across concurrent requests")
 	engines := flag.Int("engines", 0, "engine pool size bounding concurrent expansions (0 = 4)")
-	workers := flag.Int("workers", 0, "per-engine expansion workers (0 = auto)")
+	workers := flag.Int("workers", 0, "shards of each engine's initial profile warm (0 = auto: GOMAXPROCS on trees of 4096+ nodes)")
 	maxTree := flag.String("max-tree-bytes", "", "request body size limit, e.g. 64MiB (empty = 64MiB)")
 	timeout := flag.Duration("timeout", 0, "default per-request run+stream timeout (0 = 10m)")
 	maxWait := flag.Duration("max-wait", 0, "cap on the client-requested admission wait (0 = 30s)")

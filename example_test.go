@@ -33,8 +33,8 @@ func ExampleSchedule() {
 
 // ExampleScheduleTuned shows the engine knobs behind the -workers and
 // -cache-budget CLI flags (cmd/sched, cmd/minio-bench): sharding the
-// expansion walk and bounding the profile-cache memory never change the
-// result — even a 1-byte budget (constant cache thrash) reproduces the
+// initial profile warm and bounding the profile-cache memory never change
+// the result — even a 1-byte budget (constant cache thrash) reproduces the
 // exact I/O volume.
 func ExampleScheduleTuned() {
 	t := fig2bTree()

@@ -63,7 +63,8 @@ func main() {
 	// At scale, the engine has two knobs that trade wall-clock against
 	// memory without ever changing the result — the same knobs the CLIs
 	// expose as `sched -workers 8 -cache-budget 256MiB`:
-	//   Workers      shards the expansion walk over subtree units;
+	//   Workers      shards the engine's initial profile warm (the
+	//                expansion walk itself stays sequential);
 	//   CacheBudget  bounds the resident profile-cache bytes (10⁷-node
 	//                trees schedule in a flat memory envelope).
 	tuned, err := repro.ScheduleTuned(t, M, repro.RecExpand,

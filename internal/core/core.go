@@ -67,15 +67,15 @@ func (r *Result) Performance(M int64) float64 {
 
 // Runner executes algorithms with reusable state: one expansion engine
 // whose scratch (simulator, schedule and rank buffers) survives across
-// calls, plus the Workers knob threaded into the expansion heuristics.
+// calls, plus the engine knobs threaded into the expansion heuristics.
 // The experiment harness keeps one Runner per worker goroutine instead of
 // re-allocating engine state per instance. A Runner is not safe for
 // concurrent use.
 type Runner struct {
-	// Workers is passed to the expansion engine (expand.Options.Workers):
-	// 0 auto-selects GOMAXPROCS on large trees, 1 forces the sequential
-	// driver, >1 shards the postorder walk. Results are identical for
-	// every setting.
+	// Workers is the shard count of the expansion engine's initial
+	// profile warm (expand.Options.Workers): 0 auto-selects GOMAXPROCS
+	// on trees of at least 4096 nodes, 1 warms sequentially. Results are
+	// identical for every setting.
 	Workers int
 	// CacheBudget is passed to the expansion engine
 	// (expand.Options.CacheBudget): a bound, in bytes, on the resident
@@ -107,14 +107,14 @@ type Runner struct {
 	eng *expand.Engine
 }
 
-// NewRunner returns a Runner with the given worker setting and fresh
-// engine scratch.
+// NewRunner returns a Runner with the given warm-shard setting (Workers)
+// and fresh engine scratch.
 func NewRunner(workers int) *Runner {
 	return &Runner{Workers: workers, eng: expand.NewEngine()}
 }
 
 // Run executes the given algorithm on t under memory bound M, using the
-// package default Runner settings (auto worker selection).
+// package default Runner settings (auto warm sharding).
 func Run(alg Algorithm, t *tree.Tree, M int64) (*Result, error) {
 	return NewRunner(0).Run(alg, t, M)
 }
@@ -131,6 +131,16 @@ func (rn *Runner) Run(alg Algorithm, t *tree.Tree, M int64) (*Result, error) {
 	if lb := t.MaxWBar(); M < lb {
 		return nil, fmt.Errorf("core: M=%d below LB=%d", M, lb)
 	}
+	if opts, ok := rn.expandOptions(alg); ok {
+		// The expansion engine already validated its transposed schedule
+		// and simulated it on the original tree under M; reuse that run
+		// instead of paying a redundant simulation here.
+		res, err := rn.eng.RecExpand(t, M, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Algorithm: alg, Schedule: res.Schedule, IO: res.IO, Peak: res.SimulatedPeak}, nil
+	}
 	var sched tree.Schedule
 	switch alg {
 	case OptMinMem:
@@ -141,26 +151,6 @@ func (rn *Runner) Run(alg Algorithm, t *tree.Tree, M int64) (*Result, error) {
 		sched, _ = liu.PostOrderMinMem(t)
 	case NaturalPostOrder:
 		sched = t.NaturalPostorder()
-	case RecExpand, FullRecExpand:
-		// The expansion engine already validated its transposed schedule
-		// and simulated it on the original tree under M; reuse that run
-		// instead of paying a redundant simulation here.
-		opts := expand.Options{
-			MaxPerNode:  2,
-			Workers:     rn.Workers,
-			CacheBudget: rn.CacheBudget,
-			Ctx:         rn.Ctx,
-			Checkpoint:  expand.CheckpointOptions{Path: rn.CheckpointPath, Interval: rn.CheckpointInterval},
-			ResumeFrom:  rn.ResumeFrom,
-		}
-		if alg == FullRecExpand {
-			opts.MaxPerNode = 0
-		}
-		res, err := rn.eng.RecExpand(t, M, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Algorithm: alg, Schedule: res.Schedule, IO: res.IO, Peak: res.SimulatedPeak}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
@@ -169,6 +159,27 @@ func (rn *Runner) Run(alg Algorithm, t *tree.Tree, M int64) (*Result, error) {
 		return nil, fmt.Errorf("core: %s produced an invalid schedule: %w", alg, err)
 	}
 	return &Result{Algorithm: alg, Schedule: sched, IO: sim.IO, Peak: sim.Peak}, nil
+}
+
+// expandOptions maps an expansion heuristic and the Runner's settings to
+// the engine's options: RecExpand cuts each node's loop after 2
+// iterations, FullRecExpand runs it unbounded. ok is false for every
+// other algorithm.
+func (rn *Runner) expandOptions(alg Algorithm) (opts expand.Options, ok bool) {
+	switch alg {
+	case RecExpand:
+		opts.MaxPerNode = 2
+	case FullRecExpand:
+		opts.MaxPerNode = 0
+	default:
+		return opts, false
+	}
+	opts.Workers = rn.Workers
+	opts.CacheBudget = rn.CacheBudget
+	opts.Ctx = rn.Ctx
+	opts.Checkpoint = expand.CheckpointOptions{Path: rn.CheckpointPath, Interval: rn.CheckpointInterval}
+	opts.ResumeFrom = rn.ResumeFrom
+	return opts, true
 }
 
 // RunAll runs every algorithm of algs on t under M, returning results in

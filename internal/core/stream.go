@@ -16,39 +16,14 @@ import (
 //
 // For the expansion heuristics (RecExpand, FullRecExpand) the emission is
 // truly out-of-core — expand.(*Engine).RecExpandStream with the Runner's
-// Workers/CacheBudget/Ctx/Checkpoint settings threaded through, so the
-// n-word slice never exists. The closed-form algorithms are single
-// materializing passes by nature; their schedule is computed as in Run and
-// then replayed through yield, which keeps the wire format identical
-// across algorithms. If yield stops the emission early, RunStream returns
-// expand.ErrEmissionStopped.
+// settings threaded through, so the n-word slice never exists. The
+// closed-form algorithms are single materializing passes by nature; their
+// schedule is computed as in Run and then replayed through yield, which
+// keeps the wire format identical across algorithms. If yield stops the
+// emission early, RunStream returns expand.ErrEmissionStopped.
 func (rn *Runner) RunStream(alg Algorithm, t *tree.Tree, M int64, yield func(seg []int) bool) (*Result, error) {
-	switch alg {
-	case RecExpand, FullRecExpand:
-		if rn.Ctx != nil {
-			select {
-			case <-rn.Ctx.Done():
-				return nil, rn.Ctx.Err()
-			default:
-			}
-		}
-		opts := expand.Options{
-			MaxPerNode:  2,
-			Workers:     rn.Workers,
-			CacheBudget: rn.CacheBudget,
-			Ctx:         rn.Ctx,
-			Checkpoint:  expand.CheckpointOptions{Path: rn.CheckpointPath, Interval: rn.CheckpointInterval},
-			ResumeFrom:  rn.ResumeFrom,
-		}
-		if alg == FullRecExpand {
-			opts.MaxPerNode = 0
-		}
-		res, err := rn.eng.RecExpandStream(t, M, opts, yield)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Algorithm: alg, IO: res.IO, Peak: res.SimulatedPeak}, nil
-	default:
+	opts, ok := rn.expandOptions(alg)
+	if !ok {
 		res, err := rn.Run(alg, t, M)
 		if err != nil {
 			return nil, err
@@ -59,6 +34,18 @@ func (rn *Runner) RunStream(alg Algorithm, t *tree.Tree, M int64, yield func(seg
 		res.Schedule = nil
 		return res, nil
 	}
+	if rn.Ctx != nil {
+		select {
+		case <-rn.Ctx.Done():
+			return nil, rn.Ctx.Err()
+		default:
+		}
+	}
+	res, err := rn.eng.RecExpandStream(t, M, opts, yield)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Algorithm: alg, IO: res.IO, Peak: res.SimulatedPeak}, nil
 }
 
 // CacheStats exposes the profile-cache residency counters of the Runner's

@@ -38,8 +38,8 @@ func budgetCorpus(t *testing.T, seed int64, want int, visit func(tr *tree.Tree, 
 // bounded-memory cache: on a 220-instance corpus, RecExpand must be
 // bit-identical to the frozen reference engine for every budget tier
 // (tiny = constant thrash, a middling default, unlimited) crossed with
-// every worker count {1, 2, 8}. Eviction, rematerialization and profile
-// transplant are all pure residency mechanics; any divergence here is a
+// every worker count {1, 2, 8}. Eviction, rematerialization and the
+// sharded warm are all pure residency mechanics; any divergence here is a
 // correctness bug, not a tuning matter.
 func TestRecExpandBudgetedMatchesReference(t *testing.T) {
 	budgets := []int64{1, 16 << 10, 0}
@@ -67,9 +67,8 @@ func TestRecExpandBudgetedMatchesReference(t *testing.T) {
 
 // TestRecExpandCapHitUnderTinyBudget crosses the global expansion cap with
 // a thrashing cache budget: CapHit must trip at exactly the same expansion
-// as the reference engine, for sequential and sharded drivers alike — the
-// replay's budget re-checks must stay exact even while the shared cache is
-// evicting and re-adopting around them.
+// as the reference engine, for sequential and sharded warms alike, even
+// while the cache is evicting and rematerializing around the cap checks.
 func TestRecExpandCapHitUnderTinyBudget(t *testing.T) {
 	budgetCorpus(t, 2027, 120, func(tr *tree.Tree, M int64, trial int) {
 		// Find the unconstrained expansion count, then sweep caps around
@@ -146,9 +145,8 @@ func TestRecExpandBudgetStats(t *testing.T) {
 // deepChainForest builds k deep-chain branches — a unit-weight spine of
 // `spine` nodes over one shared I/O-bound SYNTH bottom of `bushy` nodes —
 // directly under a weight-1 root. Every spine prefix inherits the bottom's
-// peak, so the whole forest overflows the mid bound at once: maximal unit
-// fan-out for the parallel driver and maximal adopt pressure at replay
-// (each unit transplants its full warm cache back into the shared one).
+// peak, so the whole forest overflows the mid bound at once, and the
+// sharded warm splits it into k independent branches.
 func deepChainForest(k, spine, bushy int, seed int64) *tree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	sub := randtree.Synth(bushy, rng)
@@ -175,17 +173,14 @@ func deepChainForest(k, spine, bushy int, seed int64) *tree.Tree {
 	return tree.MustNew(parent, weight)
 }
 
-// TestAdoptBudgetNoOvershoot pins the end-to-end residency envelope of an
-// adopt-heavy parallel run under budget: on a forest whose every branch
-// overflows, the shared cache's high-water must stay within the budget
+// TestParallelWarmBudgetNoOvershoot pins the end-to-end residency
+// envelope of a sharded-warm run under budget: on a forest whose every
+// branch overflows, the cache's high-water must stay within the budget
 // plus the warm-phase rope floor (ropes are unevictable while a monotone
-// bottom-up warm is still referencing them upward), instead of stacking
-// transplanted unit caches on top. The mechanism itself — AdoptSubtree
-// offering the freshly clean subtree for eviction immediately rather than
-// waiting for the next Invalidate exposure — is pinned sharply by
-// liu's TestAdoptSubtreeImmediateEviction; this test guards the composed
-// behaviour, Result bit-identity included.
-func TestAdoptBudgetNoOvershoot(t *testing.T) {
+// bottom-up warm is still referencing them upward), even though each
+// warmer evicts only within its own shard. Result bit-identity with the
+// sequential warm is checked too.
+func TestParallelWarmBudgetNoOvershoot(t *testing.T) {
 	tr := deepChainForest(8, 300, 500, 97)
 	lb := tr.MaxWBar()
 	_, peak := liu.MinMem(tr)
@@ -211,65 +206,12 @@ func TestAdoptBudgetNoOvershoot(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("budgeted sharded run changed the Result")
 	}
-	if bounded.AdoptedNodes == 0 {
-		t.Fatal("run adopted nothing: the shape no longer exercises the transplant path")
-	}
 	// Rope floor allowance: ≈ 2.2 rope nodes per tree node (leaf ropes plus
 	// concatenations) at the current ~56-byte rope size, with headroom.
 	ropeFloor := int64(tr.N()) * 56 * 5 / 2
 	if limit := budget + ropeFloor; bounded.PeakResidentBytes > limit {
-		t.Fatalf("adopt-heavy run overshot: budget %d + rope floor %d < high-water %d (unbounded %d)",
+		t.Fatalf("sharded-warm run overshot: budget %d + rope floor %d < high-water %d (unbounded %d)",
 			budget, ropeFloor, bounded.PeakResidentBytes, full)
 	}
-	t.Logf("unbounded=%d budget=%d high-water=%d adopted=%d",
-		full, budget, bounded.PeakResidentBytes, bounded.AdoptedNodes)
-}
-
-// TestAdoptAcrossReplayReducesWork checks the fan-out transplant actually
-// engages on a unit-friendly shape: a sharded run on a forest must adopt
-// profiles into the shared cache (replay direction) and into unit-local
-// caches (warm direction) rather than recomputing them, while staying
-// bit-identical to the sequential engine.
-func TestAdoptAcrossReplayReducesWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	// A forest of bushy subtrees: the parallel driver's best case.
-	sub := randtree.Synth(3000, rng)
-	parent := []int{tree.None}
-	weight := []int64{1}
-	for i := 0; i < 4; i++ {
-		buf := len(parent)
-		parent = append(parent, 0)
-		weight = append(weight, 1)
-		off := len(parent)
-		for v := 0; v < sub.N(); v++ {
-			if p := sub.Parent(v); p == tree.None {
-				parent = append(parent, buf)
-			} else {
-				parent = append(parent, p+off)
-			}
-			weight = append(weight, sub.Weight(v))
-		}
-	}
-	tr := tree.MustNew(parent, weight)
-	lb := tr.MaxWBar()
-	_, peak := liu.MinMem(tr)
-	if peak <= lb {
-		t.Skip("forest not I/O-bound")
-	}
-	M := (lb + peak) / 2
-	eng := NewEngine()
-	want, err := eng.RecExpand(tr, M, Options{MaxPerNode: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RecExpand(tr, M, Options{MaxPerNode: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sharded run diverges from sequential")
-	}
-	if st := eng.CacheStats(); st.AdoptedNodes == 0 {
-		t.Fatal("sharded run adopted nothing into the shared cache")
-	}
+	t.Logf("unbounded=%d budget=%d high-water=%d", full, budget, bounded.PeakResidentBytes)
 }

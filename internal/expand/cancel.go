@@ -1,24 +1,23 @@
 // Cancellation and panic containment for the expansion engines.
 //
 // Cancellation is cooperative and coarse-grained on purpose: the run
-// checks Options.Ctx once per expansion-loop iteration, per merged unit
-// and per streamed segment — points that each represent thousands of
-// node visits — and the profile caches poll the same signal every
-// cancelPollInterval recomputes (liu.CacheOptions.Done). The hot paths
-// between checks are untouched, so an armed-but-quiet context costs
-// nothing measurable (see BENCH.md). After a cancelled run the engine and
-// its caches are re-runnable: a run builds its mutable tree and caches
-// fresh, and an interrupted cache keeps every published profile valid and
-// every unreached node dirty.
+// checks Options.Ctx once per expansion-loop iteration and per streamed
+// segment — points that each represent thousands of node visits — and
+// the profile cache polls the same signal every cancelPollInterval
+// recomputes (liu.CacheOptions.Done). The hot paths between checks are
+// untouched, so an armed-but-quiet context costs nothing measurable (see
+// BENCH.md). After a cancelled run the engine and its cache are
+// re-runnable: a run builds its mutable tree and cache fresh, and an
+// interrupted cache keeps every published profile valid and every
+// unreached node dirty.
 //
-// Containment converts panics into errors at two boundaries: each
-// parallel-driver unit worker recovers into a WorkerError (cancelling its
-// siblings), and the engine entry points recover anything that reaches
-// them — a fault injected into the sequential path, or a merger-side
-// failure — into a PanicError. Out-of-range inputs still return plain
-// errors; the panic paths exist for invariant violations and injected
-// faults, which must not take down a process that has hours of other
-// work in flight.
+// Containment converts panics into errors at the engine entry points:
+// anything that reaches them — an injected fault, an invariant violation,
+// a panic a sharded-warm goroutine re-raised at its join
+// (liu.(*ProfileCache).EnsureParallel) — becomes a PanicError. Out-of-range
+// inputs still return plain errors; the panic path exists for invariant
+// violations and injected faults, which must not take down a process that
+// has hours of other work in flight.
 package expand
 
 import (
@@ -61,37 +60,8 @@ func mapErr(ctx context.Context, err error) error {
 	return err
 }
 
-// WorkerError is a panic contained in a parallel-driver unit worker: the
-// driver recovers it in the worker goroutine, cancels the sibling
-// workers, drains the pool and returns this error with the engine and
-// caches still consistent — the same call is re-runnable.
-type WorkerError struct {
-	// Unit is the original-tree id of the subtree root the panicking
-	// worker was expanding.
-	Unit int
-	// Panic is the recovered panic value.
-	Panic any
-	// Stack is the panicking goroutine's stack trace.
-	Stack []byte
-}
-
-// Error describes the contained panic.
-func (w *WorkerError) Error() string {
-	return fmt.Sprintf("expand: worker for unit %d panicked: %v", w.Unit, w.Panic)
-}
-
-// Unwrap exposes an error-typed panic value to errors.Is/As chains (an
-// injected faultinject.ErrWorkerPanic, for instance).
-func (w *WorkerError) Unwrap() error {
-	if err, ok := w.Panic.(error); ok {
-		return err
-	}
-	return nil
-}
-
-// PanicError is a panic recovered at an engine entry point — anything
-// that escaped the per-worker containment: a fault injected into the
-// sequential path, or a failure on the merger goroutine.
+// PanicError is a panic recovered at an engine entry point; the engine
+// stays consistent and the same call is re-runnable.
 type PanicError struct {
 	// Panic is the recovered panic value.
 	Panic any
@@ -113,16 +83,9 @@ func (p *PanicError) Unwrap() error {
 }
 
 // containPanic is the engine-boundary recover: deferred by the RecExpand
-// entry points onto their named error result. A panic that is already a
-// contained WorkerError passes through unchanged.
+// entry points onto their named error result.
 func containPanic(err *error) {
-	r := recover()
-	if r == nil {
-		return
+	if r := recover(); r != nil {
+		*err = &PanicError{Panic: r, Stack: debug.Stack()}
 	}
-	if we, ok := r.(*WorkerError); ok {
-		*err = we
-		return
-	}
-	*err = &PanicError{Panic: r, Stack: debug.Stack()}
 }

@@ -85,9 +85,9 @@ func TestCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestCancelDuringParallelExpand races a late cancellation against the
-// sharded driver (run under -race in CI): whether the cancel lands or the
-// run wins, the outcome must be either ctx.Err() or the exact
+// TestCancelDuringParallelExpand races a late cancellation against a run
+// whose profile warm is sharded over four goroutines (run under -race in
+// CI): whether the cancel lands in the warm, in the walk or not at all, the outcome must be either ctx.Err() or the exact
 // uncancelled result, and the engine must complete a clean rerun.
 func TestCancelDuringParallelExpand(t *testing.T) {
 	tr, M := cancelInstance(t, 30000, 107)

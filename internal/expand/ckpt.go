@@ -5,10 +5,7 @@
 // are assigned in Expand-call order, so replaying the logged
 // (victim, amount) pairs onto a fresh NewMutable(t) reconstructs the
 // exact expanded tree, and the walk can continue from the recorded
-// postorder cursor as if the kill never happened. The parallel driver
-// checkpoints from its merger, whose unit replays interleave expansions
-// in exactly the sequential order, so a checkpoint taken mid-merge is
-// resumable by the sequential walk.
+// postorder cursor as if the kill never happened.
 package expand
 
 import (
@@ -46,8 +43,8 @@ var ckptAfterWrite func(path string)
 
 // ckptRunner accumulates the durable state of one checkpoint-armed run
 // and writes it at quiescent points. All methods run on the goroutine
-// driving the walk (the sequential walk or the parallel merger), so no
-// locking is needed. A nil *ckptRunner disarms every hook.
+// driving the walk, so no locking is needed. A nil *ckptRunner disarms
+// every hook.
 type ckptRunner struct {
 	path     string
 	interval int
@@ -108,8 +105,8 @@ func (ck *ckptRunner) seed(st *ckpt.State) {
 	ck.emitted = st.EmittedIDs
 }
 
-// noteExp logs one applied expansion (victim in the shared mutable-tree
-// id space). Called immediately after a successful Expand, before the
+// noteExp logs one applied expansion (victim in the mutable-tree id
+// space). Called immediately after a successful Expand, before the
 // cursor commit that makes it checkpointable.
 func (ck *ckptRunner) noteExp(victim int, amount int64) {
 	ck.exps = append(ck.exps, ckpt.Exp{Victim: victim, Amount: amount})
@@ -126,16 +123,6 @@ func (ck *ckptRunner) commitLoop(r, iters int) error {
 		return ck.write()
 	}
 	return nil
-}
-
-// advance moves the cursor past a fully-processed postorder prefix (the
-// merger calls it after replaying a whole unit). No write: the next due
-// commit records the advanced cursor.
-func (ck *ckptRunner) advance(postIdx int) {
-	if postIdx > ck.cursor {
-		ck.cursor = postIdx
-		ck.curIters = 0
-	}
 }
 
 // finishExpand marks the expansion walk complete — every decision is in

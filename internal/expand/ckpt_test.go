@@ -123,9 +123,9 @@ func TestCkptKillAnywhereResume(t *testing.T) {
 }
 
 // TestCkptKillAnywhereResumeParallel is the same grid with the armed run
-// on the parallel driver (forced Workers=4): checkpoints written by the
-// merger — including mid-unit-replay states — must all resume, on the
-// sequential walk, to the bit-identical Result.
+// and every resume warming its profiles in four shards (Workers=4): the
+// warm's sharding must not leak into what a checkpoint records, so every
+// state must resume to the bit-identical Result.
 func TestCkptKillAnywhereResumeParallel(t *testing.T) {
 	n := 12
 	if testing.Short() {
@@ -141,10 +141,10 @@ func TestCkptKillAnywhereResumeParallel(t *testing.T) {
 		}
 		armedRes, snaps := captureCkpts(t, c, 4, t.TempDir())
 		if !reflect.DeepEqual(armedRes, want) {
-			t.Fatalf("case %d: armed parallel run diverges from baseline", ci)
+			t.Fatalf("case %d: armed sharded-warm run diverges from baseline", ci)
 		}
-		// Sample the snapshots when the parallel run wrote many: every
-		// prefix state is covered across the corpus anyway.
+		// Sample the snapshots when the run wrote many: every prefix state
+		// is covered across the corpus anyway.
 		stride := 1
 		if len(snaps) > 40 {
 			stride = len(snaps) / 40
@@ -155,7 +155,7 @@ func TestCkptKillAnywhereResumeParallel(t *testing.T) {
 			}
 			opts := c.opts
 			opts.ResumeFrom = resumePath
-			opts.Workers = 4 // resume forces the sequential walk internally
+			opts.Workers = 4
 			got, err := RecExpand(c.tr, c.M, opts)
 			if err != nil {
 				t.Fatalf("case %d snapshot %d/%d: resume: %v", ci, si, len(snaps), err)

@@ -15,7 +15,7 @@
 //
 // # Engines
 //
-// Three engines produce bit-identical Results (pinned by the differential
+// Two engines produce bit-identical Results (pinned by the differential
 // tests against the 220-instance corpus):
 //
 //   - ReferenceRecExpand (reference.go) freezes the seed implementation:
@@ -26,23 +26,19 @@
 //     MutableTree whose liu.ProfileCache memoizes every subtree's optimal
 //     hill–valley profile, invalidating only the root path of each
 //     expansion, with an allocation-free memsim.Simulator for the FiF
-//     evaluations.
-//   - The parallel driver (parallel.go) shards the postorder walk over
-//     disjoint unit subtrees when Options.Workers ≠ 1, replaying each
-//     unit's recorded expansion trace onto the shared tree in exact
-//     sequential order; unit-local profile caches are seeded from, and
-//     harvested back into, the shared cache by rope-remapping transplant
-//     (liu.AdoptSubtree), so the fan-out warms each subtree once.
+//     evaluations. Its walk is the sequential postorder of Algorithm 2;
+//     the one parallel step is the initial profile warm, which
+//     Options.Workers shards over disjoint subtrees
+//     (liu.(*ProfileCache).EnsureParallel) with a cache state identical
+//     to a sequential warm.
 //
 // # Memory bounding
 //
 // Options.CacheBudget bounds the resident bytes of every profile cache the
 // engines create (liu.CacheOptions.MaxResidentBytes); evicted profiles are
 // rematerialized on demand, so 10⁷-node trees schedule within a flat
-// memory envelope at identical results. Options.MaxUnitLead bounds how far
-// the parallel fan-out runs ahead of the merger, capping the pending
-// unit-local caches. DESIGN.md documents the cache memory model, the
-// eviction tiers and the measured envelopes.
+// memory envelope at identical results. DESIGN.md documents the cache
+// memory model, the eviction tiers and the measured envelopes.
 //
 // # Streaming emission
 //

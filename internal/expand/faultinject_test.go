@@ -26,11 +26,11 @@ type faultConfig struct {
 // over the same 220-instance corpus as the differential grid, inject one
 // deterministic fault per (instance, configuration, point) — count the
 // point's hits on a clean run, arm a seed-derived hit index, re-run — and
-// assert the all-or-nothing contract: a residency fault (forced eviction,
-// worker stall) must leave the Result bit-identical, a failure fault
-// (arena allocation, worker panic) must surface as the matching typed
-// error, and after any fault the SAME engine must reproduce the clean
-// run bit-for-bit.
+// assert the all-or-nothing contract: a residency fault (forced eviction)
+// must leave the Result bit-identical, a failure fault (arena allocation,
+// sequential or inside a sharded-warm goroutine) must surface as the
+// matching typed error, and after any fault the SAME engine must
+// reproduce the clean run bit-for-bit.
 func TestFaultInjectionGrid(t *testing.T) {
 	defer faultinject.Reset()
 	corpus := 220
@@ -47,12 +47,11 @@ func TestFaultInjectionGrid(t *testing.T) {
 			},
 		},
 		{
-			name: "parallel/2workers",
-			opts: Options{Workers: 2},
+			name: "sharded-warm/2workers",
+			opts: Options{Workers: 2, CacheBudget: 1 << 12},
 			points: []faultinject.Point{
 				faultinject.ArenaAlloc,
-				faultinject.WorkerPanic,
-				faultinject.WorkerStall,
+				faultinject.CacheEvict,
 			},
 		},
 	}
@@ -97,8 +96,8 @@ func TestFaultInjectionGrid(t *testing.T) {
 				faultinject.Arm(p, faultinject.PlanHit(int64(trial), p, total))
 				got, err := eng.RecExpand(tr, M, opts)
 				switch p {
-				case faultinject.CacheEvict, faultinject.WorkerStall:
-					// Residency and timing faults are semantics-free.
+				case faultinject.CacheEvict:
+					// Residency faults are semantics-free.
 					if err != nil {
 						t.Fatalf("trial %d %s %v: unexpected error: %v", trial, cfg.name, p, err)
 					}
@@ -106,13 +105,9 @@ func TestFaultInjectionGrid(t *testing.T) {
 						t.Fatalf("trial %d %s %v: fault changed the Result", trial, cfg.name, p)
 					}
 				case faultinject.ArenaAlloc:
-					if !errors.Is(err, faultinject.ErrArenaAlloc) {
-						t.Fatalf("trial %d %s %v: got %v, want a contained ErrArenaAlloc", trial, cfg.name, p, err)
-					}
-				case faultinject.WorkerPanic:
-					var werr *WorkerError
-					if !errors.As(err, &werr) || !errors.Is(err, faultinject.ErrWorkerPanic) {
-						t.Fatalf("trial %d %s %v: got %v, want a WorkerError wrapping ErrWorkerPanic", trial, cfg.name, p, err)
+					var perr *PanicError
+					if !errors.As(err, &perr) || !errors.Is(err, faultinject.ErrArenaAlloc) {
+						t.Fatalf("trial %d %s %v: got %v, want a PanicError wrapping ErrArenaAlloc", trial, cfg.name, p, err)
 					}
 				}
 				// Re-runnability: the engine that just absorbed the fault
@@ -130,50 +125,5 @@ func TestFaultInjectionGrid(t *testing.T) {
 	}
 	if tried < corpus {
 		t.Fatalf("corpus too small: %d instances", tried)
-	}
-}
-
-// TestFaultWorkerPanicContained pins the headline claim on one large
-// instance: an injected worker panic in the parallel driver must not
-// crash the process, must cancel the sibling workers, and must leave the
-// engine able to reproduce the clean result immediately afterwards.
-func TestFaultWorkerPanicContained(t *testing.T) {
-	defer faultinject.Reset()
-	rng := rand.New(rand.NewSource(211))
-	tr := randtree.Synth(30000, rng)
-	lb := tr.MaxWBar()
-	_, peak := liu.MinMem(tr)
-	M := (lb + peak) / 2
-	opts := Options{MaxPerNode: 2, Workers: 4}
-	eng := NewEngine()
-
-	faultinject.Reset()
-	want, err := eng.RecExpand(tr, M, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := faultinject.Hits(faultinject.WorkerPanic)
-	if total == 0 {
-		t.Skip("instance produced no parallel units")
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		faultinject.Reset()
-		faultinject.Arm(faultinject.WorkerPanic, faultinject.PlanHit(seed, faultinject.WorkerPanic, total))
-		_, err := eng.RecExpand(tr, M, opts)
-		var werr *WorkerError
-		if !errors.As(err, &werr) {
-			t.Fatalf("seed %d: got %v, want WorkerError", seed, err)
-		}
-		if len(werr.Stack) == 0 {
-			t.Fatalf("seed %d: WorkerError carries no stack", seed)
-		}
-		faultinject.Reset()
-		got, err := eng.RecExpand(tr, M, opts)
-		if err != nil {
-			t.Fatalf("seed %d: rerun: %v", seed, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: rerun diverges", seed)
-		}
 	}
 }

@@ -200,32 +200,6 @@ func (m *MutableTree) CheckProfileInvariants() error {
 	return m.profiles.CheckInvariants()
 }
 
-// ProfileSnapshot captures a read-only view of the attached cache for
-// concurrent AdoptProfiles readers; see liu.CacheSnapshot for the pinning
-// contract. EnableProfiles must have been called.
-func (m *MutableTree) ProfileSnapshot() liu.CacheSnapshot { return m.profiles.Snapshot() }
-
-// PinProfiles marks v's subtree profile unevictable while a concurrent
-// snapshot reader may be walking it. EnableProfiles must have been called.
-func (m *MutableTree) PinProfiles(v int) { m.profiles.Pin(v) }
-
-// UnpinProfiles releases a PinProfiles.
-func (m *MutableTree) UnpinProfiles(v int) { m.profiles.Unpin(v) }
-
-// DropQueuedProfileSlices empties the cache's consumed-slice eviction
-// queue; see liu.(*ProfileCache).DropQueuedSlices for when the parallel
-// driver must do this.
-func (m *MutableTree) DropQueuedProfileSlices() { m.profiles.DropQueuedSlices() }
-
-// AdoptProfiles transplants the resident profiles of src's subtree at
-// srcRoot (over srcT, which must have the same shape and child order as
-// this tree's subtree at dstRoot) into the attached cache; see
-// liu.(*ProfileCache).AdoptSubtree. It returns the number of adopted node
-// profiles. EnableProfiles must have been called.
-func (m *MutableTree) AdoptProfiles(src liu.CacheSnapshot, srcT liu.TreeLike, srcRoot, dstRoot int) int {
-	return m.profiles.AdoptSubtree(src, srcT, srcRoot, dstRoot)
-}
-
 // SubtreePeak returns the optimal (OPTMINMEM) peak memory of r's current
 // subtree, served from the profile cache. EnableProfiles must have been
 // called.
@@ -238,8 +212,8 @@ func (m *MutableTree) SubtreePeak(r int) int64 { return m.profiles.Peak(r) }
 func (m *MutableTree) WarmProfiles(workers int) { m.profiles.EnsureParallel(m.root, workers) }
 
 // InitialPeaks warms the profile cache (sharded across workers) and
-// returns every node's current subtree peak. The expansion drivers call
-// it before any expansion and gate each recursion node on these INITIAL
+// returns every node's current subtree peak. The expansion walk calls it
+// before any expansion and gates each recursion node on these INITIAL
 // peaks — not on the cheap current-peak check inside the loop — because
 // the reference engine consults the global cap only at nodes whose
 // initial peak exceeds M; gating on anything else would flip CapHit in

@@ -19,7 +19,7 @@ import (
 // TestRecExpandBudgetedMatchesReference over the same corpus, so this
 // transitively anchors the stream to the frozen seed engine. The CI race
 // job runs the grid under -race, which exercises emission right after the
-// sharded warm and unit fan-out (emit-while-parallel-warm).
+// sharded warm.
 func TestRecExpandStreamMatchesMaterialized(t *testing.T) {
 	budgets := []int64{1, 16 << 10, 0}
 	workers := []int{1, 2, 8}
@@ -94,59 +94,6 @@ func TestRecExpandStreamEarlyStop(t *testing.T) {
 		got.Schedule = want.Schedule
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Result diverges after early stop", trial)
-		}
-	})
-}
-
-// TestRecExpandUnitLead pins that the lead bound is purely a residency
-// knob: for every MaxUnitLead (tightest possible, default, unbounded) the
-// parallel driver must stay bit-identical to the sequential engine, cap
-// behaviour included.
-func TestRecExpandUnitLead(t *testing.T) {
-	leads := []int{1, 0, -1}
-	budgetCorpus(t, 2030, 80, func(tr *tree.Tree, M int64, trial int) {
-		want, err := RecExpand(tr, M, Options{MaxPerNode: 2, Workers: 1})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, lead := range leads {
-			for _, w := range []int{2, 8} {
-				got, err := RecExpand(tr, M, Options{MaxPerNode: 2, Workers: w, MaxUnitLead: lead, CacheBudget: 16 << 10})
-				if err != nil {
-					t.Fatalf("trial %d lead=%d workers=%d: %v", trial, lead, w, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d lead=%d workers=%d: diverges from sequential (M=%d n=%d)",
-						trial, lead, w, M, tr.N())
-				}
-			}
-		}
-	})
-}
-
-// TestRecExpandUnitLeadCapHit crosses the lead bound with a tripping
-// global cap: the merger breaks out early while workers may still be
-// blocked on the token bucket, which must shut down cleanly and at the
-// exact sequential truncation point.
-func TestRecExpandUnitLeadCapHit(t *testing.T) {
-	budgetCorpus(t, 2031, 40, func(tr *tree.Tree, M int64, trial int) {
-		free, err := RecExpand(tr, M, Options{MaxPerNode: 2})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, cap := range []int{1, free.Expansions/2 + 1} {
-			want, err := RecExpand(tr, M, Options{MaxPerNode: 2, GlobalCap: cap})
-			if err != nil {
-				t.Fatalf("trial %d cap=%d: %v", trial, cap, err)
-			}
-			got, err := RecExpand(tr, M, Options{MaxPerNode: 2, GlobalCap: cap, Workers: 4, MaxUnitLead: 1})
-			if err != nil {
-				t.Fatalf("trial %d cap=%d: %v", trial, cap, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d cap=%d: lead-bounded driver diverges (CapHit got %v want %v)",
-					trial, cap, got.CapHit, want.CapHit)
-			}
 		}
 	})
 }

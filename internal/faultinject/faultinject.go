@@ -13,9 +13,8 @@
 // vary; sequential workloads are fully deterministic.
 //
 // The registry is process-global on purpose — the hooks sit deep inside
-// the arena and the parallel driver, where threading a handle through
-// every call would distort the very hot paths the faults are meant to
-// stress. Tests that arm faults must therefore not run in parallel with
+// the profile arena and cache, where threading a handle through every
+// call would distort the very hot paths the faults are meant to stress. Tests that arm faults must therefore not run in parallel with
 // each other.
 package faultinject
 
@@ -35,14 +34,6 @@ const (
 	// slices during a warm, hanging subtrees at invalidation); a triggered
 	// fault forces the eviction even when the budget would not demand it.
 	CacheEvict
-	// WorkerPanic fires at the start of a parallel-driver unit worker; a
-	// triggered fault panics with ErrWorkerPanic inside the worker
-	// goroutine (contained as an expand.WorkerError).
-	WorkerPanic
-	// WorkerStall fires at the start of a parallel-driver unit worker; a
-	// triggered fault sleeps the worker briefly, exercising the merger's
-	// wait and the lead-bounded queue under skew.
-	WorkerStall
 	// WriterIO fires per byte offered to a Writer; a triggered fault makes
 	// that Write call fail with ErrWrite, so arming hit N injects an I/O
 	// error at byte N of the output stream.
@@ -82,10 +73,6 @@ func (p Point) String() string {
 		return "ArenaAlloc"
 	case CacheEvict:
 		return "CacheEvict"
-	case WorkerPanic:
-		return "WorkerPanic"
-	case WorkerStall:
-		return "WorkerStall"
 	case WriterIO:
 		return "WriterIO"
 	case CkptWrite:
@@ -102,16 +89,13 @@ func (p Point) String() string {
 	return "Point(?)"
 }
 
-// The sentinel values injected faults surface with: the two panic values
-// the engine's containment layers must convert to typed errors, and the
-// write error the Writer wrapper returns.
+// The sentinel values injected faults surface with: the panic values the
+// engine's and the server's containment layers must convert to typed
+// errors, and the errors the injected I/O and admission failures return.
 var (
 	// ErrArenaAlloc is the panic value of an injected arena allocation
 	// failure (the ArenaAlloc point).
 	ErrArenaAlloc = errors.New("faultinject: injected arena allocation failure")
-	// ErrWorkerPanic is the panic value of an injected unit-worker panic
-	// (the WorkerPanic point).
-	ErrWorkerPanic = errors.New("faultinject: injected worker panic")
 	// ErrWrite is the error an injected Writer failure returns (the
 	// WriterIO point).
 	ErrWrite = errors.New("faultinject: injected write error")

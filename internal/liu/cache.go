@@ -128,12 +128,11 @@ const (
 //
 // Concurrency discipline: a ProfileCache is single-writer. The one
 // exception is EnsureParallel, which shards a warm across disjoint
-// subtrees, each owned by exactly one worker with a private cacheScratch —
-// the per-subtree cache regions the parallel expansion driver relies on.
+// subtrees, each owned by exactly one worker with a private cacheScratch.
 // Under a residency policy each worker also evicts, but only within its own
 // shard and only into its private arena, so the sharded warm stays
-// race-free. Snapshot provides the read-only view concurrent adopters use;
-// Pin keeps a snapshot-read subtree safe from the writer's evictions.
+// race-free. Pin keeps a subtree whose ropes a reader is walking (a
+// flatten, a schedule iterator) safe from the writer's evictions.
 type ProfileCache struct {
 	t     TreeLike
 	prof  []profile
@@ -159,7 +158,6 @@ type ProfileCache struct {
 	evictedNodes  atomic.Int64
 	slicedProfs   atomic.Int64
 	remats        atomic.Int64
-	adopted       atomic.Int64
 	streamedNodes atomic.Int64
 
 	sc       *cacheScratch // primary scratch (sequential queries)
@@ -185,9 +183,6 @@ type CacheStats struct {
 	// Rematerializations counts recomputations of clean-but-reclaimed
 	// profiles — the time cost paid for the memory bound.
 	Rematerializations int64
-	// AdoptedNodes counts profiles transplanted in from another cache
-	// (see AdoptSubtree).
-	AdoptedNodes int64
 	// StreamedNodes counts node profiles consumed by releasing schedule
 	// emissions (EmitScheduleRelease): their slices and rope pages were
 	// handed back to the arena as the traversal streamed out.
@@ -208,10 +203,9 @@ type cacheScratch struct {
 	// merged them); entries are validated lazily at pop.
 	sliceQ      []int
 	sliceHead   int
-	tick        uint32      // recomputes since the last Done poll
-	evictStack  []int       // reusable eviction traversal scratch
-	candScratch []int       // reusable Invalidate candidate scratch
-	adoptRopes  []*nodeRope // reusable chain-reversal scratch for adoptNode
+	tick        uint32 // recomputes since the last Done poll
+	evictStack  []int  // reusable eviction traversal scratch
+	candScratch []int  // reusable Invalidate candidate scratch
 }
 
 type cacheFrame struct {
@@ -253,7 +247,6 @@ func (c *ProfileCache) Stats() CacheStats {
 		EvictedNodes:       c.evictedNodes.Load(),
 		SlicedProfiles:     c.slicedProfs.Load(),
 		Rematerializations: c.remats.Load(),
-		AdoptedNodes:       c.adopted.Load(),
 		StreamedNodes:      c.streamedNodes.Load(),
 	}
 }
@@ -294,10 +287,9 @@ func (c *ProfileCache) Grow() {
 }
 
 // Pin marks v (and, for subtree eviction, everything below it) as
-// unevictable until the matching Unpin. The parallel expansion driver pins
-// the roots of its planned units so that concurrent snapshot readers never
-// observe an eviction; AppendSchedule pins the queried root across its
-// flatten. Pinning nests.
+// unevictable until the matching Unpin. AppendSchedule and the schedule
+// iterators pin the queried root while they walk its ropes. Pinning
+// nests.
 func (c *ProfileCache) Pin(v int) { c.pinned[v]++; c.pinCount++ }
 
 // Unpin releases a Pin.
@@ -602,7 +594,7 @@ func (c *ProfileCache) pushConsumed(sc *cacheScratch, v int) {
 // profile (i.e. the merge that read this slice has completed and not been
 // invalidated since) are dropped, so no merge still ahead of the current
 // pass can lose an input. Entries skipped because the node is pinned are
-// re-queued — the pin is transient (a flatten or a snapshot reader) and
+// re-queued — the pin is transient (a flatten or an iterator) and
 // the slice stays evictable once it lifts; every other skip is stale and
 // dropped.
 func (c *ProfileCache) slicePressure(sc *cacheScratch) {
@@ -629,20 +621,6 @@ func (c *ProfileCache) slicePressure(sc *cacheScratch) {
 	sc.evictStack = requeue[:0]
 }
 
-// DropQueuedSlices empties the consumed-slice queue without evicting
-// anything. The parallel expansion driver calls it right after pinning its
-// unit roots: queue entries recorded during the warm may point inside unit
-// subtrees that concurrent snapshot readers are about to walk, and the
-// slice tier's per-node pin check cannot see a pinned ancestor. Dropped
-// slices are reclaimed later through re-consumption or the subtree tier.
-func (c *ProfileCache) DropQueuedSlices() {
-	sc := c.sc
-	for _, v := range sc.sliceQ[sc.sliceHead:] {
-		c.inSliceQ[v] = false
-	}
-	sc.sliceQ, sc.sliceHead = sc.sliceQ[:0], 0
-}
-
 // evictSlice reclaims v's segment slice (rope pages stay: they are shared
 // into resident ancestors' profiles), leaving v sliceless.
 func (c *ProfileCache) evictSlice(v int, sc *cacheScratch) {
@@ -657,7 +635,7 @@ func (c *ProfileCache) evictSlice(v int, sc *cacheScratch) {
 // arena. Peaks and validity are untouched: the subtree stays clean, only
 // its memory is gone until rematerialized. Only Invalidate/NoteCandidate
 // call this, on subtrees whose ancestors were all just dirtied; pinned
-// descendants (concurrent snapshot readers) are skipped with their whole
+// descendants (an iterator still walking them) are skipped with their whole
 // subtrees, which is safe because a skipped subtree's ropes are referenced
 // only from within itself once everything above it is profile-free.
 func (c *ProfileCache) evictSubtree(v int, sc *cacheScratch) {

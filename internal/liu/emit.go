@@ -23,10 +23,10 @@ package liu
 // is guaranteed exactly when every ancestor of v is dirty (then their
 // slices and rope chains were freed by the Invalidate that dirtied them) —
 // trivially true at the root — and when no Pin is outstanding anywhere in
-// the cache (a pinned unit root means a concurrent snapshot reader may be
-// walking the ropes). When either condition fails, the releasing entry
-// points degrade to the non-consuming walk, so callers never need to check
-// first; results are identical either way.
+// the cache (a pinned node means another reader, such as an open
+// iterator, may still be walking the ropes). When either condition fails,
+// the releasing entry points degrade to the non-consuming walk, so callers
+// never need to check first; results are identical either way.
 //
 // A non-releasing iterator must be drained (or Closed) before the next
 // mutation of the tree or cache, like any AppendSchedule result that

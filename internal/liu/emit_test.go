@@ -3,7 +3,6 @@ package liu
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/randtree"
@@ -201,46 +200,35 @@ func TestEmitSchedulePull(t *testing.T) {
 	}
 }
 
-// TestEmitWhileParallelWarm crosses a releasing emission with a concurrent
-// snapshot reader (the parallel driver's fan-out pattern): the reader's
-// subtree is pinned, so releasing must degrade to the non-consuming walk
-// and the reader must see intact ropes throughout. Run under -race in CI.
+// TestEmitWhileParallelWarm streams the final emission the way the
+// expansion engine does on large trees: out of a cache warmed by the
+// sharded EnsureParallel, in releasing mode. While another iterator still
+// pins a subtree, releasing must degrade to the non-consuming walk; once
+// that pin lifts it must engage. Both emissions must equal a sequentially
+// warmed cache's schedule. Run under -race in CI.
 func TestEmitWhileParallelWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	tr := randtree.Synth(4000, rng)
 	c := NewProfileCacheOpts(tr, CacheOptions{MaxResidentBytes: 1 << 30})
 	c.EnsureParallel(tr.Root(), 4)
+	want := NewProfileCache(tr).AppendSchedule(tr.Root(), nil)
 
-	// Pick a child subtree of the root as the "unit" a worker is reading.
 	children := tr.Children(tr.Root())
 	if len(children) == 0 {
 		t.Skip("degenerate tree")
 	}
-	unit := children[0]
-	c.Pin(unit)
-	snap := c.Snapshot()
-
-	sub, toOld := tr.Subtree(unit)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var adopted int
-	go func() {
-		defer wg.Done()
-		local := NewProfileCache(sub)
-		adopted = local.AdoptSubtree(snap, tr, unit, sub.Root())
-	}()
-
-	want := NewProfileCache(tr).AppendSchedule(tr.Root(), nil)
+	it := c.ScheduleIter(children[0])
 	if got := collect(c, tr.Root(), true); !reflect.DeepEqual(got, want) {
-		t.Fatal("emission during concurrent snapshot read diverges")
+		t.Fatal("emission next to an open iterator diverges")
 	}
 	if st := c.Stats(); st.StreamedNodes != 0 {
-		t.Fatalf("released %d nodes while a unit was pinned", st.StreamedNodes)
+		t.Fatalf("released %d nodes while a subtree was pinned", st.StreamedNodes)
 	}
-	wg.Wait()
-	c.Unpin(unit)
-	if adopted != sub.N() {
-		t.Fatalf("concurrent reader adopted %d of %d nodes", adopted, sub.N())
+	it.Close()
+	if got := collect(c, tr.Root(), true); !reflect.DeepEqual(got, want) {
+		t.Fatal("releasing emission of the parallel-warmed cache diverges")
 	}
-	_ = toOld
+	if st := c.Stats(); st.StreamedNodes == 0 {
+		t.Fatal("releasing emission consumed nothing once the pin lifted")
+	}
 }

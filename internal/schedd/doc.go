@@ -7,16 +7,15 @@
 //
 // The robustness core is the budget lease broker (Broker): one global
 // MaxResidentBytes budget is partitioned across concurrent requests as
-// per-request leases, generalizing the per-unit token bucket of
-// expand.Options.MaxUnitLead to the request level. Each admitted request
-// runs its engine under a profile-cache budget equal to its lease, so the
-// sum of resident cache footprints stays inside the global budget no
-// matter how many tenants are active. Requests that cannot acquire a
+// per-request leases. Each admitted request runs its engine under a
+// profile-cache budget equal to its lease, so the sum of resident cache
+// footprints stays inside the global budget no matter how many tenants
+// are active. Requests that cannot acquire a
 // lease within their declared wait are rejected with 429 + Retry-After
 // (load shedding); requests whose estimated cost exceeds the whole budget
 // are rejected at validation time with the estimate (413); requests with
-// malformed bodies are rejected by the struct-tag validator with
-// field-keyed errors (400).
+// malformed bodies are rejected by Request.validate with field-keyed
+// errors naming every violated rule (400).
 //
 // Failure containment composes the PR 6/7 machinery: every request runs
 // under its own context (client disconnect, per-request timeout, and the

@@ -49,8 +49,8 @@ var ErrKeyConflict = errors.New("schedd: idempotency key bound to a different re
 
 // ReqFingerprint identifies what an idempotency key is bound to: the
 // instance (tree hash + node count), the resolved memory bound, and the
-// algorithm. Non-semantic knobs (workers, cache budget, timeouts, wait
-// policy) are deliberately absent — they never change the served bytes,
+// algorithm. Non-semantic knobs (cache budget, timeouts, wait policy)
+// are deliberately absent — they never change the served bytes,
 // so a retry may lower its wait or budget without losing its binding.
 type ReqFingerprint struct {
 	// TreeHash is ckpt.HashTree over the instance's parent/weight vectors.

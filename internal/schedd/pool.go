@@ -18,7 +18,7 @@ type enginePool struct {
 }
 
 // newEnginePool builds a pool of n runners, each with the given Workers
-// setting.
+// (warm-shard) setting.
 func newEnginePool(n, workers int) *enginePool {
 	p := &enginePool{runners: make(chan *core.Runner, n)}
 	for i := 0; i < n; i++ {

@@ -12,58 +12,56 @@ import (
 	"repro/internal/tree"
 )
 
-// Request is the wire schema of one scheduling request, constrained by the
-// struct-tag validator (see Validate). A JSON POST carries the whole
-// struct; a text/plain POST carries the treegen text format as the body
-// and the scalar fields as query parameters of the same names.
+// Request is the wire schema of one scheduling request, checked field by
+// field by validate. A JSON POST carries the whole struct; a text/plain
+// POST carries the treegen text format as the body and the scalar fields
+// as query parameters of the same names.
 type Request struct {
 	// Tree is the instance in the tree JSON form
 	// ({"parents":[...],"weights":[...]}); required on the JSON path.
-	Tree json.RawMessage `json:"tree" validate:"required"`
+	Tree json.RawMessage `json:"tree"`
 	// M is the absolute memory bound; ignored when Mid is set. Exactly
 	// one of M>0 or Mid must be given.
-	M int64 `json:"m" validate:"min=0"`
+	M int64 `json:"m"`
 	// Mid asks for the paper's mid bound, (LB+Peak-1)/2, computed from
 	// the instance itself.
 	Mid bool `json:"mid"`
 	// Algorithm selects the scheduler; empty means the server default
 	// (RecExpand).
-	Algorithm string `json:"algorithm" validate:"oneof=OptMinMem PostOrderMinIO PostOrderMinMem NaturalPostOrder RecExpand FullRecExpand"`
-	// Workers is the engine parallelism; 0 auto-selects.
-	Workers int `json:"workers" validate:"min=0,max=256"`
+	Algorithm string `json:"algorithm"`
 	// CacheBudget optionally lowers this request's lease below the
 	// estimate, in ParseByteSize form ("256MiB"); empty takes the
 	// server's estimate. It can only shrink the lease, never grow it
 	// past the estimate-capped admission cost.
-	CacheBudget string `json:"cache_budget" validate:"bytesize,maxlen=32"`
+	CacheBudget string `json:"cache_budget"`
 	// WaitMS bounds how long admission may queue behind the budget
 	// broker before giving up with 429; 0 means fail fast (TryAcquire).
-	WaitMS int64 `json:"wait_ms" validate:"min=0,max=600000"`
+	WaitMS int64 `json:"wait_ms"`
 	// TimeoutMS bounds the whole run+stream after admission; 0 takes the
 	// server default.
-	TimeoutMS int64 `json:"timeout_ms" validate:"min=0,max=86400000"`
+	TimeoutMS int64 `json:"timeout_ms"`
 	// Name is an optional label echoed in logs and checkpoints.
-	Name string `json:"name" validate:"maxlen=128"`
+	Name string `json:"name"`
 	// IdempotencyKey, when non-empty, binds the request to a durable
 	// journal entry: re-POSTs with the same key resume the previous
 	// attempt's checkpoint instead of recomputing, and keys are
 	// single-flight (a concurrent duplicate waits, it does not double the
 	// work). Reusing a key for a different instance/bound/algorithm is a
 	// 409.
-	IdempotencyKey string `json:"idempotency_key" validate:"maxlen=128"`
+	IdempotencyKey string `json:"idempotency_key"`
 	// ResumeFrom is the count of schedule ids the client already holds
 	// verified (the RepairSchedule-trusted prefix): the stream starts
 	// after them, so prefix + response reassemble the uninterrupted
 	// stream byte-for-byte. Only meaningful with IdempotencyKey.
-	ResumeFrom int64 `json:"resume_from" validate:"min=0"`
+	ResumeFrom int64 `json:"resume_from"`
 }
 
 // estimate constants of the admission cost model: a request's resident
 // cost is floored at minLeaseBytes and grows linearly with the node count.
 // bytesPerNode covers the decoded tree (parent + weight + children arrays,
 // ~28 B/node) plus the engine's working state under a bounded cache —
-// postorder scratch, the unit queue, and the resident profile segments the
-// cache keeps hot even at its smallest useful budget.
+// postorder scratch and the resident profile segments the cache keeps hot
+// even at its smallest useful budget.
 const (
 	minLeaseBytes = 1 << 20 // 1 MiB floor: tiny trees still cost a lease
 	bytesPerNode  = 224
@@ -103,7 +101,7 @@ func ParseRequest(r *http.Request, limit int64) (*Request, *tree.Tree, error) {
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			return nil, nil, fmt.Errorf("schedd: decoding request json: %w", err)
 		}
-		if err := Validate(&req); err != nil {
+		if err := req.validate(); err != nil {
 			return nil, nil, err
 		}
 		var tr tree.Tree
@@ -115,10 +113,10 @@ func ParseRequest(r *http.Request, limit int64) (*Request, *tree.Tree, error) {
 		if err := queryRequest(r, &req); err != nil {
 			return nil, nil, err
 		}
-		// The text path has no tree field to satisfy `required`; stub it
-		// before validating, the body is the tree.
+		// The text path has no tree field to satisfy the required check;
+		// stub it before validating, the body is the tree.
 		req.Tree = json.RawMessage("{}")
-		if err := Validate(&req); err != nil {
+		if err := req.validate(); err != nil {
 			return nil, nil, err
 		}
 		tr, err := tree.ReadText(body)
@@ -157,7 +155,6 @@ func queryRequest(r *http.Request, req *Request) error {
 	req.M = geti("m")
 	req.Mid = q.Get("mid") == "1" || q.Get("mid") == "true"
 	req.Algorithm = q.Get("algorithm")
-	req.Workers = int(geti("workers"))
 	req.CacheBudget = q.Get("cache_budget")
 	req.WaitMS = geti("wait_ms")
 	req.TimeoutMS = geti("timeout_ms")

@@ -31,8 +31,8 @@ type Config struct {
 	// Engines bounds concurrent expansions (the core.Runner pool size);
 	// 0 means 4.
 	Engines int
-	// Workers is the per-engine parallelism (core.Runner.Workers); 0
-	// auto-selects.
+	// Workers is the shard count of each engine's initial profile warm
+	// (core.Runner.Workers); 0 auto-selects.
 	Workers int
 	// MaxTreeBytes bounds the request body; 0 means 64 MiB.
 	MaxTreeBytes int64

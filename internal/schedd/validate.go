@@ -2,35 +2,17 @@ package schedd
 
 import (
 	"fmt"
-	"reflect"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 )
 
-// The request-schema validator: a small struct-tag interpreter in the
-// spirit of the json-validation/tageval idiom. Fields of a request struct
-// declare their constraints in a `validate:"..."` tag, rules separated by
-// commas:
-//
-//	required            non-zero value (non-empty for strings/slices)
-//	min=N, max=N        numeric bounds (ints and uints)
-//	maxlen=N            length bound for strings/slices
-//	oneof=a b c         string membership; the empty string is allowed
-//	                    (it means "use the server default") — combine
-//	                    with required to forbid it
-//	bytesize            string must parse with core.ParseByteSize; the
-//	                    empty string is allowed (server default)
-//
-// Validation failures are field-keyed FieldErrors, so the 400 body names
-// the offending JSON field and rule rather than a bare "bad request".
-
 // FieldError is one violated rule on one request field.
 type FieldError struct {
-	// Field is the field's JSON name (falling back to the Go name).
+	// Field is the field's JSON name.
 	Field string
-	// Rule is the violated rule as written in the tag.
+	// Rule is the violated rule, e.g. "max=600000" or "required".
 	Rule string
 	// Detail says what the value looked like instead.
 	Detail string
@@ -57,139 +39,59 @@ func (e *ValidationError) Error() string {
 	return "schedd: invalid request: " + strings.Join(msgs, "; ")
 }
 
-// Validate checks every `validate` tag of the struct v (or pointer to
-// struct) and returns a *ValidationError listing all violations, or nil.
-// Unknown rules are reported as violations of themselves: a typo in a tag
-// must fail loudly in tests, not silently validate nothing.
-func Validate(v any) error {
-	rv := reflect.ValueOf(v)
-	for rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			return &ValidationError{Fields: []*FieldError{{Field: "<root>", Rule: "required", Detail: "nil request"}}}
-		}
-		rv = rv.Elem()
+// algorithms is the request's algorithm vocabulary, in the order a
+// rejection lists it.
+const algorithms = "OptMinMem PostOrderMinIO PostOrderMinMem NaturalPostOrder RecExpand FullRecExpand"
+
+// validate checks every field of the request against its bounds and
+// returns a *ValidationError listing all violations, or nil. An empty
+// algorithm or cache_budget means the server default and is valid.
+func (req *Request) validate() error {
+	var v ValidationError
+	if len(req.Tree) == 0 {
+		v.add("tree", "required", "missing or empty")
 	}
-	if rv.Kind() != reflect.Struct {
-		return fmt.Errorf("schedd: Validate wants a struct, got %T", v)
+	v.atLeast("m", req.M, 0)
+	if req.Algorithm != "" && !slices.Contains(strings.Fields(algorithms), req.Algorithm) {
+		v.add("algorithm", "oneof="+algorithms, fmt.Sprintf("%q is not one of [%s]", req.Algorithm, algorithms))
 	}
-	var verr ValidationError
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		sf := rt.Field(i)
-		tag := sf.Tag.Get("validate")
-		if tag == "" || !sf.IsExported() {
-			continue
-		}
-		name := jsonName(sf)
-		fv := rv.Field(i)
-		for _, rule := range strings.Split(tag, ",") {
-			if fe := checkRule(name, fv, strings.TrimSpace(rule)); fe != nil {
-				verr.Fields = append(verr.Fields, fe)
-			}
+	if req.CacheBudget != "" {
+		if _, err := core.ParseByteSize(req.CacheBudget); err != nil {
+			v.add("cache_budget", "bytesize", err.Error())
 		}
 	}
-	if len(verr.Fields) > 0 {
-		return &verr
+	v.maxLen("cache_budget", req.CacheBudget, 32)
+	v.atLeast("wait_ms", req.WaitMS, 0)
+	v.atMost("wait_ms", req.WaitMS, 600000)
+	v.atLeast("timeout_ms", req.TimeoutMS, 0)
+	v.atMost("timeout_ms", req.TimeoutMS, 86400000)
+	v.maxLen("name", req.Name, 128)
+	v.maxLen("idempotency_key", req.IdempotencyKey, 128)
+	v.atLeast("resume_from", req.ResumeFrom, 0)
+	if len(v.Fields) > 0 {
+		return &v
 	}
 	return nil
 }
 
-// jsonName resolves the wire name of a struct field: the json tag's first
-// element, or the Go name.
-func jsonName(sf reflect.StructField) string {
-	if tag, ok := sf.Tag.Lookup("json"); ok {
-		if n, _, _ := strings.Cut(tag, ","); n != "" && n != "-" {
-			return n
-		}
-	}
-	return sf.Name
+func (v *ValidationError) add(field, rule, detail string) {
+	v.Fields = append(v.Fields, &FieldError{Field: field, Rule: rule, Detail: detail})
 }
 
-// checkRule evaluates one rule against one field value, returning the
-// violation or nil.
-func checkRule(name string, fv reflect.Value, rule string) *FieldError {
-	key, arg, hasArg := strings.Cut(rule, "=")
-	switch key {
-	case "required":
-		if fv.IsZero() {
-			return &FieldError{Field: name, Rule: rule, Detail: "missing or empty"}
-		}
-	case "min", "max":
-		if !hasArg {
-			return &FieldError{Field: name, Rule: rule, Detail: "rule needs an argument"}
-		}
-		bound, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil {
-			return &FieldError{Field: name, Rule: rule, Detail: "unparseable bound in tag"}
-		}
-		n, ok := intValue(fv)
-		if !ok {
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("rule applies to integers, field is %s", fv.Kind())}
-		}
-		if key == "min" && n < bound {
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("%d is below the minimum %d", n, bound)}
-		}
-		if key == "max" && n > bound {
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("%d is above the maximum %d", n, bound)}
-		}
-	case "maxlen":
-		if !hasArg {
-			return &FieldError{Field: name, Rule: rule, Detail: "rule needs an argument"}
-		}
-		bound, err := strconv.Atoi(arg)
-		if err != nil {
-			return &FieldError{Field: name, Rule: rule, Detail: "unparseable bound in tag"}
-		}
-		switch fv.Kind() {
-		case reflect.String, reflect.Slice, reflect.Array, reflect.Map:
-			if fv.Len() > bound {
-				return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("length %d exceeds %d", fv.Len(), bound)}
-			}
-		default:
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("rule applies to strings/slices, field is %s", fv.Kind())}
-		}
-	case "oneof":
-		if fv.Kind() != reflect.String {
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("rule applies to strings, field is %s", fv.Kind())}
-		}
-		s := fv.String()
-		if s == "" {
-			return nil // empty means "server default"; `required` forbids it
-		}
-		for _, opt := range strings.Fields(arg) {
-			if s == opt {
-				return nil
-			}
-		}
-		return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("%q is not one of [%s]", s, arg)}
-	case "bytesize":
-		if fv.Kind() != reflect.String {
-			return &FieldError{Field: name, Rule: rule, Detail: fmt.Sprintf("rule applies to strings, field is %s", fv.Kind())}
-		}
-		if fv.String() == "" {
-			return nil // empty means "server default"; `required` forbids it
-		}
-		if _, err := core.ParseByteSize(fv.String()); err != nil {
-			return &FieldError{Field: name, Rule: rule, Detail: err.Error()}
-		}
-	default:
-		return &FieldError{Field: name, Rule: rule, Detail: "unknown validation rule"}
+func (v *ValidationError) atLeast(field string, n, lo int64) {
+	if n < lo {
+		v.add(field, fmt.Sprintf("min=%d", lo), fmt.Sprintf("%d is below the minimum %d", n, lo))
 	}
-	return nil
 }
 
-// intValue widens any integer kind to int64 for the bound rules.
-func intValue(fv reflect.Value) (int64, bool) {
-	switch fv.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return fv.Int(), true
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		u := fv.Uint()
-		if u > 1<<62 {
-			return 0, false
-		}
-		return int64(u), true
-	default:
-		return 0, false
+func (v *ValidationError) atMost(field string, n, hi int64) {
+	if n > hi {
+		v.add(field, fmt.Sprintf("max=%d", hi), fmt.Sprintf("%d is above the maximum %d", n, hi))
+	}
+}
+
+func (v *ValidationError) maxLen(field, s string, n int) {
+	if len(s) > n {
+		v.add(field, fmt.Sprintf("maxlen=%d", n), fmt.Sprintf("length %d exceeds %d", len(s), n))
 	}
 }

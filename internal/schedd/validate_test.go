@@ -3,58 +3,70 @@ package schedd
 import (
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// tagged is the validator-exercise struct of the table test: one field per
-// rule family, with json names to check wire-name reporting.
-type tagged struct {
-	Raw    json.RawMessage `json:"raw" validate:"required"`
-	Count  int             `json:"count" validate:"min=1,max=10"`
-	Uns    uint32          `json:"uns" validate:"max=100"`
-	Label  string          `json:"label" validate:"maxlen=4"`
-	Mode   string          `json:"mode" validate:"oneof=fast slow"`
-	Budget string          `json:"budget" validate:"bytesize"`
+// validRequest sets every validated field to an accepted value.
+func validRequest() Request {
+	return Request{
+		Tree:           json.RawMessage("{}"),
+		M:              5,
+		Algorithm:      "RecExpand",
+		CacheBudget:    "1.5GiB",
+		WaitMS:         100,
+		TimeoutMS:      1000,
+		Name:           "ok",
+		IdempotencyKey: "k1",
+		ResumeFrom:     3,
+	}
 }
 
-func valid() tagged {
-	return tagged{Raw: json.RawMessage("{}"), Count: 5, Uns: 7, Label: "ok", Mode: "fast", Budget: "1.5GiB"}
-}
-
-// TestValidateTable drives each rule through passing and failing values
-// and asserts the violation names the JSON field and rule.
+// TestValidateTable drives one failing value per field rule and asserts
+// the violation names the JSON field and rule.
 func TestValidateTable(t *testing.T) {
-	if err := Validate(valid()); err != nil {
-		t.Fatalf("valid struct rejected: %v", err)
+	v := validRequest()
+	if err := v.validate(); err != nil {
+		t.Fatalf("valid request rejected: %v", err)
 	}
-	v := valid()
-	v.Mode = ""
-	v.Budget = ""
-	if err := Validate(v); err != nil {
-		t.Fatalf("empty oneof/bytesize (server default) rejected: %v", err)
+	v.Algorithm = ""
+	v.CacheBudget = ""
+	if err := v.validate(); err != nil {
+		t.Fatalf("empty algorithm/cache_budget (server default) rejected: %v", err)
+	}
+	v = validRequest()
+	v.WaitMS, v.TimeoutMS = 600000, 86400000
+	if err := v.validate(); err != nil {
+		t.Fatalf("bounds are inclusive, got: %v", err)
 	}
 
+	long := strings.Repeat("x", 129)
 	cases := []struct {
-		name     string
-		mutate   func(*tagged)
-		field    string
-		rulePart string
+		name   string
+		mutate func(*Request)
+		field  string
+		rule   string
 	}{
-		{"missing required", func(g *tagged) { g.Raw = nil }, "raw", "required"},
-		{"below min", func(g *tagged) { g.Count = 0 }, "count", "min=1"},
-		{"above max", func(g *tagged) { g.Count = 11 }, "count", "max=10"},
-		{"uint above max", func(g *tagged) { g.Uns = 101 }, "uns", "max=100"},
-		{"too long", func(g *tagged) { g.Label = "overlong" }, "label", "maxlen=4"},
-		{"bad oneof", func(g *tagged) { g.Mode = "warp" }, "mode", "oneof"},
-		{"bad bytesize", func(g *tagged) { g.Budget = "-1K" }, "budget", "bytesize"},
-		{"fractional no-unit bytesize", func(g *tagged) { g.Budget = "1.5" }, "budget", "bytesize"},
+		{"missing required", func(r *Request) { r.Tree = nil }, "tree", "required"},
+		{"below min", func(r *Request) { r.M = -1 }, "m", "min=0"},
+		{"bad oneof", func(r *Request) { r.Algorithm = "Magic" }, "algorithm", "oneof=" + algorithms},
+		{"bad bytesize", func(r *Request) { r.CacheBudget = "-1K" }, "cache_budget", "bytesize"},
+		{"fractional no-unit bytesize", func(r *Request) { r.CacheBudget = "1.5" }, "cache_budget", "bytesize"},
+		{"cache_budget too long", func(r *Request) { r.CacheBudget = strings.Repeat("0", 30) + "1KiB" }, "cache_budget", "maxlen=32"},
+		{"wait_ms below min", func(r *Request) { r.WaitMS = -1 }, "wait_ms", "min=0"},
+		{"above max", func(r *Request) { r.WaitMS = 600001 }, "wait_ms", "max=600000"},
+		{"timeout_ms below min", func(r *Request) { r.TimeoutMS = -1 }, "timeout_ms", "min=0"},
+		{"timeout_ms above max", func(r *Request) { r.TimeoutMS = 86400001 }, "timeout_ms", "max=86400000"},
+		{"too long", func(r *Request) { r.Name = long }, "name", "maxlen=128"},
+		{"idempotency_key too long", func(r *Request) { r.IdempotencyKey = long }, "idempotency_key", "maxlen=128"},
+		{"resume_from below min", func(r *Request) { r.ResumeFrom = -1 }, "resume_from", "min=0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := valid()
-			tc.mutate(&g)
-			err := Validate(&g)
+			r := validRequest()
+			tc.mutate(&r)
+			err := r.validate()
 			var verr *ValidationError
 			if !errors.As(err, &verr) {
 				t.Fatalf("got %v, want ValidationError", err)
@@ -62,51 +74,48 @@ func TestValidateTable(t *testing.T) {
 			if len(verr.Fields) != 1 {
 				t.Fatalf("got %d violations, want 1: %v", len(verr.Fields), verr)
 			}
-			fe := verr.Fields[0]
-			if fe.Field != tc.field || !strings.Contains(fe.Rule, tc.rulePart) {
-				t.Fatalf("violation = %+v, want field %q rule ~%q", fe, tc.field, tc.rulePart)
+			if fe := verr.Fields[0]; fe.Field != tc.field || fe.Rule != tc.rule {
+				t.Fatalf("violation = %+v, want field %q rule %q", fe, tc.field, tc.rule)
+			}
+			if !strings.Contains(err.Error(), `"`+tc.field+`"`) {
+				t.Fatalf("message %q does not name field %q", err, tc.field)
 			}
 		})
 	}
 }
 
-// TestValidateAggregates: every violated field is reported at once, so a
-// client fixes a bad request in one round trip.
+// TestValidateAggregates: every violated rule is reported at once, in field
+// order, so a client fixes a bad request in one round trip — including two
+// rules broken by the same field.
 func TestValidateAggregates(t *testing.T) {
-	g := tagged{Count: 0, Mode: "warp"} // also missing required raw
-	err := Validate(&g)
+	r := Request{M: -1, Algorithm: "Magic", CacheBudget: strings.Repeat("x", 33)}
+	err := r.validate()
 	var verr *ValidationError
 	if !errors.As(err, &verr) {
 		t.Fatalf("got %v, want ValidationError", err)
 	}
-	if len(verr.Fields) != 3 {
-		t.Fatalf("got %d violations, want 3: %v", len(verr.Fields), verr)
+	var got []string
+	for _, fe := range verr.Fields {
+		got = append(got, fe.Field+" "+fe.Rule)
+	}
+	want := []string{"tree required", "m min=0", "algorithm oneof=" + algorithms, "cache_budget bytesize", "cache_budget maxlen=32"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("violations %q, want %q", got, want)
 	}
 }
 
-// TestValidateUnknownRule: a typoed tag must fail validation loudly, never
-// silently validate nothing.
-func TestValidateUnknownRule(t *testing.T) {
-	type typo struct {
-		X int `validate:"atleast=3"`
+// TestParseRequestIgnoresWorkers: the engine's warm-shard count is a
+// daemon setting (-workers), so a "workers" field or query parameter is
+// ignored like any unknown one, whatever its value.
+func TestParseRequestIgnoresWorkers(t *testing.T) {
+	body := `{"tree":{"parents":[-1,0],"weights":[1,1]},"m":2,"workers":999}`
+	r := httptest.NewRequest("POST", "/schedule", strings.NewReader(body))
+	if _, _, err := ParseRequest(r, 1<<20); err != nil {
+		t.Fatalf("JSON request with workers: %v", err)
 	}
-	err := Validate(typo{X: 5})
-	var verr *ValidationError
-	if !errors.As(err, &verr) {
-		t.Fatalf("unknown rule passed validation: %v", err)
-	}
-	if !strings.Contains(verr.Error(), "unknown validation rule") {
-		t.Fatalf("unknown-rule violation reads %q", verr.Error())
-	}
-}
-
-// TestValidateNonStruct pins the misuse errors: nil pointers and
-// non-struct values are rejected, not reflected into a panic.
-func TestValidateNonStruct(t *testing.T) {
-	if err := Validate((*tagged)(nil)); err == nil {
-		t.Fatal("nil pointer validated")
-	}
-	if err := Validate(42); err == nil {
-		t.Fatal("non-struct validated")
+	r = httptest.NewRequest("POST", "/schedule?m=2&workers=-5", strings.NewReader("2\n0 -1 1\n1 0 1\n"))
+	r.Header.Set("Content-Type", "text/plain")
+	if _, _, err := ParseRequest(r, 1<<20); err != nil {
+		t.Fatalf("text request with workers: %v", err)
 	}
 }

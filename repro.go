@@ -82,8 +82,10 @@ func Schedule(t *Tree, M int64, alg Algorithm) (*Result, error) {
 // memory without ever changing results — the library counterparts of the
 // -workers and -cache-budget flags of cmd/sched and cmd/minio-bench.
 type Tuning struct {
-	// Workers shards the expansion heuristics' postorder walk: 0 = auto
-	// (GOMAXPROCS on large trees), 1 = sequential, >1 = that many workers.
+	// Workers is the number of shards of the expansion heuristics'
+	// initial profile warm: 0 = auto (GOMAXPROCS on trees of at least
+	// 4096 nodes, else 1), 1 = sequential. The expansion walk itself is
+	// always sequential.
 	Workers int
 	// CacheBudget bounds the resident bytes of the engine's profile
 	// caches; clean profiles beyond it are evicted and recomputed on
@@ -115,16 +117,21 @@ type Tuning struct {
 	ResumeFrom string
 }
 
-// ScheduleTuned is Schedule with explicit engine tuning. The result is
-// bit-identical to Schedule's for every Tuning value.
-func ScheduleTuned(t *Tree, M int64, alg Algorithm, tn Tuning) (*Result, error) {
+// runner builds the core.Runner carrying tn's settings.
+func (tn Tuning) runner() *core.Runner {
 	rn := core.NewRunner(tn.Workers)
 	rn.CacheBudget = tn.CacheBudget
 	rn.Ctx = tn.Ctx
 	rn.CheckpointPath = tn.CheckpointPath
 	rn.CheckpointInterval = tn.CheckpointInterval
 	rn.ResumeFrom = tn.ResumeFrom
-	return rn.Run(alg, t, M)
+	return rn
+}
+
+// ScheduleTuned is Schedule with explicit engine tuning. The result is
+// bit-identical to Schedule's for every Tuning value.
+func ScheduleTuned(t *Tree, M int64, alg Algorithm, tn Tuning) (*Result, error) {
+	return tn.runner().Run(alg, t, M)
 }
 
 // ScheduleStreamed is ScheduleTuned for out-of-core scale: instead of
@@ -139,26 +146,10 @@ func ScheduleTuned(t *Tree, M int64, alg Algorithm, tn Tuning) (*Result, error) 
 // >10⁸-node trees: the engine's schedule ropes are released as the
 // emission advances, so no Θ(n) answer is ever resident.
 func ScheduleStreamed(t *Tree, M int64, alg Algorithm, tn Tuning, yield func(seg []int) bool) (*Result, error) {
-	opts := expand.Options{
-		MaxPerNode:  2,
-		Workers:     tn.Workers,
-		CacheBudget: tn.CacheBudget,
-		Ctx:         tn.Ctx,
-		Checkpoint:  expand.CheckpointOptions{Path: tn.CheckpointPath, Interval: tn.CheckpointInterval},
-		ResumeFrom:  tn.ResumeFrom,
-	}
-	switch alg {
-	case RecExpand:
-	case FullRecExpand:
-		opts.MaxPerNode = 0
-	default:
+	if alg != RecExpand && alg != FullRecExpand {
 		return nil, fmt.Errorf("repro: ScheduleStreamed supports RecExpand and FullRecExpand, not %q", alg)
 	}
-	res, err := expand.NewEngine().RecExpandStream(t, M, opts, yield)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Algorithm: alg, IO: res.IO, Peak: res.SimulatedPeak}, nil
+	return tn.runner().RunStream(alg, t, M, yield)
 }
 
 // WriteSchedule streams a schedule to w, one node id per line, consuming
