@@ -9,7 +9,7 @@ BENCH ?= RecExpand|FiFSimulator|OptMinMem3000|ScheddLoad
 # Trajectory index: bench-json writes BENCH_$(N).json at the repo root.
 N ?= 1
 
-.PHONY: test test-race test-faultinject fuzz-smoke certify certify-long build vet bench bench-json bench-smoke chaos
+.PHONY: test test-race test-faultinject fuzz-smoke certify certify-long build vet bench bench-json bench-smoke perfbench-smoke chaos
 
 build:
 	$(GO) build ./...
@@ -77,3 +77,9 @@ bench-json:
 # RecExpand pattern also covers the RecExpandParallel warm-shard sweep).
 bench-smoke:
 	$(GO) test -run '^$$' -bench RecExpand -benchtime 1x .
+
+# The repository benchmark's own module (perfbench/, BENCHMARK.json): vet
+# it and run every workload in --smoke mode. The root module's build and
+# tests never compile it; CI's perfbench job runs the same command.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -785,35 +785,6 @@ func BenchmarkOutOfCoreExecute(b *testing.B) {
 	b.ReportMetric(float64(spilled), "units_spilled")
 }
 
-// BenchmarkParallelExecuteWorkers sweeps the worker count of the
-// tree-parallel executor under a shared memory budget.
-func BenchmarkParallelExecuteWorkers(b *testing.B) {
-	tr := synthTree(300, 4)
-	in := core.NewInstance("x", tr)
-	M := in.M(core.BoundMid)
-	sched, _ := liu.MinMem(tr)
-	f := func(node int, inputs map[int][]byte) ([]byte, error) {
-		out := make([]byte, tr.Weight(node)*64)
-		for i := range out {
-			out[i] = byte(node + i)
-		}
-		return out, nil
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var spilled int64
-			for i := 0; i < b.N; i++ {
-				_, st, err := oocexec.ExecuteParallel(tr, M, sched, workers, oocexec.Config{UnitSize: 64}, f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spilled = st.UnitsWritten
-			}
-			b.ReportMetric(float64(spilled), "units_spilled")
-		})
-	}
-}
-
 // --- Serving benchmarks (schedd) -------------------------------------------
 //
 // The BenchmarkScheddLoad family measures the daemon end to end — HTTP

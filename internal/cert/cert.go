@@ -85,8 +85,9 @@ type Report struct {
 // the tree equals the global optimum (Theorem 4); and the expansion
 // engine — both RecExpand and FullRecExpand, cache audit armed — emits a
 // valid schedule with internally consistent accounting that never beats
-// the exact optimum and is never improved upon by the ablation eviction
-// policies.
+// the exact optimum, that the byte-level executor carries out moving
+// exactly the simulated I/O, and that is never improved upon by the
+// ablation eviction policies.
 func Certify(ctx context.Context, inst Instance, opts Options) (*Report, error) {
 	t := inst.Tree
 	if t == nil {
@@ -220,6 +221,9 @@ func certifyEngine(ctx context.Context, inst Instance, engine EngineFunc, name s
 	if sim.IO != res.SimulatedIO || sim.Peak != res.SimulatedPeak {
 		return 0, fail(name+"-resim", "declared (io=%d, peak=%d), re-simulated (io=%d, peak=%d)",
 			res.SimulatedIO, res.SimulatedPeak, sim.IO, sim.Peak)
+	}
+	if check, detail := executed(t, inst.M, res.Schedule, res.SimulatedIO); check != "" {
+		return 0, fail(name+"-"+check, "%s", detail)
 	}
 	if res.SimulatedIO < optIO {
 		return 0, fail(name+"-beats-optimum", "simulated I/O %d below exact optimum %d", res.SimulatedIO, optIO)

@@ -19,13 +19,18 @@
 //     declared accounting is internally consistent, and it reaches the
 //     optimum of zero whenever M admits an I/O-free traversal;
 //   - FiF dominates the ablation eviction policies on the engine's own
-//     schedule (Theorem 1's observable corollary).
+//     schedule (Theorem 1's observable corollary);
+//   - executed == simulated: the byte-level executor (internal/oocexec)
+//     runs the engine's schedule writing exactly the simulated I/O,
+//     reading back all it wrote, never holding more than M units, and
+//     delivering every input byte intact.
 //
 // # What is property-checked
 //
 // Properties that hold at any scale and need no oracle: simulated I/O
 // monotone non-increasing in M, schedule validity under memsim
-// re-simulation (memsim.ScoreSchedule), streamed == materialized results,
+// re-simulation (memsim.ScoreSchedule), executed == simulated on every
+// engine schedule, streamed == materialized results,
 // Workers/CacheBudget/checkpoint-resume invariance, and the profile
 // cache's CheckInvariants audit after every run.
 //

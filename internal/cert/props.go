@@ -28,12 +28,13 @@ import (
 // monotone — RecExpand's budgeted expansion is demonstrably non-monotone
 // in M on the Figure 2(c) family); each engine run's schedule is valid
 // and re-simulates to exactly the declared (I/O, peak) — via
-// memsim.ScoreSchedule — with a FiF τ satisfying the paper's validity
-// conditions; at M equal to the peak the run is I/O-free with zero
-// expansions; and at the instance's own bound the Result is
-// bit-identical across the streamed finish, Workers, CacheBudget,
-// checkpointing and checkpoint-resume. Every engine run is made with the
-// post-run profile-cache audit armed (expand.Options.VerifyCache).
+// memsim.ScoreSchedule — and executes through oocexec moving exactly that
+// I/O, with a FiF τ satisfying the paper's validity conditions; at M
+// equal to the peak the run is I/O-free with zero expansions; and at the
+// instance's own bound the Result is bit-identical across the streamed
+// finish, Workers, CacheBudget, checkpointing and checkpoint-resume. Every
+// engine run is made with the post-run profile-cache audit armed
+// (expand.Options.VerifyCache).
 func CheckProperties(ctx context.Context, inst Instance) error {
 	t := inst.Tree
 	if t == nil {
@@ -68,7 +69,8 @@ func CheckProperties(ctx context.Context, inst Instance) error {
 	}
 
 	// consistent checks one run's self-consistency: schedule validity,
-	// declared == re-simulated via the scoring hook, and a valid FiF τ.
+	// declared == re-simulated via the scoring hook, executed ==
+	// simulated, and a valid FiF τ.
 	consistent := func(M int64, res *expand.Result) error {
 		if err := tree.Validate(t, res.Schedule); err != nil {
 			return fail("prop-schedule-invalid", "M=%d: %v", M, err)
@@ -83,6 +85,9 @@ func CheckProperties(ctx context.Context, inst Instance) error {
 		}
 		if score.Bounded != (res.SimulatedIO == 0) {
 			return fail("prop-score-bounded", "M=%d: Bounded=%v with io=%d", M, score.Bounded, res.SimulatedIO)
+		}
+		if check, detail := executed(t, M, res.Schedule, res.SimulatedIO); check != "" {
+			return fail("prop-"+check, "M=%d: %s", M, detail)
 		}
 		sim, err := memsim.Run(t, M, res.Schedule, memsim.FiF)
 		if err != nil {

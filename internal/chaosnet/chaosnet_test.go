@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,7 +213,7 @@ func TestChaosDrainFailover(t *testing.T) {
 	tr, M := chaosInstance(t, 20000, 103)
 	want := directStream(t, tr, M)
 
-	newServer := func() (*schedd.Server, *httptest.Server) {
+	newServer := func(wrap func(http.Handler) http.Handler) (*schedd.Server, *httptest.Server) {
 		s, err := schedd.NewServer(schedd.Config{
 			Budget:        256 << 20,
 			CheckpointDir: ckptDir,
@@ -221,11 +223,28 @@ func TestChaosDrainFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, httptest.NewServer(s.Handler())
+		return s, httptest.NewServer(wrap(s.Handler()))
 	}
-	sA, srvA := newServer()
+	// A serves only the first, torn attempt. A retry that reaches A is
+	// held until the proxy points at B and then refused with 503, so the
+	// request always completes on B however the client's backoff races
+	// the repointing.
+	repointed := make(chan struct{})
+	releaseA := sync.OnceFunc(func() { close(repointed) })
+	var attemptsA atomic.Int32
+	sA, srvA := newServer(func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if attemptsA.Add(1) > 1 {
+				<-repointed
+				http.Error(w, "failing over", http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	defer srvA.Close()
-	sB, srvB := newServer()
+	defer releaseA() // before srvA.Close, which waits for held handlers
+	sB, srvB := newServer(func(h http.Handler) http.Handler { return h })
 	defer srvB.Close()
 
 	// One guaranteed mid-body truncation on the first connection (to A),
@@ -264,11 +283,10 @@ func TestChaosDrainFailover(t *testing.T) {
 
 	// Wait for the torn attempt to settle on A (its keyed checkpoint and
 	// journal entry are then durably in the shared directory), repoint
-	// the proxy at B, and drain A. A may record the attempt as errored
-	// (the cut propagated) or served (the proxy swallowed the tail after
-	// A finished) — both leave the durable state the retry needs. A retry
-	// that slips into A first is cut by the drain; either way the request
-	// finishes on B.
+	// the proxy at B, release A's held retries, and drain A. A may record
+	// the attempt as errored (the cut propagated) or served (the proxy
+	// swallowed the tail after A finished) — both leave the durable state
+	// the retry needs.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := sA.Stats()
@@ -281,6 +299,7 @@ func TestChaosDrainFailover(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p.SetTarget(srvB.Listener.Addr().String())
+	releaseA()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sA.Drain(ctx); err != nil {

@@ -1,34 +1,35 @@
 package memsim
 
-// nodeHeap is an indexed min-heap of node ids ordered by an int64 key, with
-// O(log n) push/remove and O(1) peek. It backs the eviction-order queue of
-// the simulator: for FiF the key is the negated schedule position of the
-// node's parent, so the minimum-key element is the active data used furthest
-// in the future.
+// NodeHeap is an indexed min-heap of node ids ordered by an int64 key, with
+// O(log n) Push/Remove and O(1) Peek. It is the one Furthest-in-Future
+// eviction queue of the module: the simulator's, and the byte-level
+// executor's (internal/oocexec). For FiF the key is the negated schedule
+// position of the node's parent, so the minimum-key element is the active
+// data used furthest in the future.
 //
 // The id → heap-slot index is a plain slice (idx), grown on demand, so that
 // a Simulator can clear and refill the heap without allocating. Key ties are
 // broken by rank when set (the sibling order of a mutable tree, matching the
 // BFS numbering an extracted subtree would receive) and by smaller id
-// otherwise.
-type nodeHeap struct {
+// otherwise. The zero value is an empty heap with the id tie-break.
+type NodeHeap struct {
 	ids  []int   // heap array of node ids
 	keys []int64 // keys[k] is the key of ids[k]
 	idx  []int32 // node id -> index in ids, -1 when absent
 	rank []int32 // optional sibling-order tie-break; nil falls back to ids
 }
 
-func (h *nodeHeap) len() int { return len(h.ids) }
+func (h *NodeHeap) len() int { return len(h.ids) }
 
 // grow extends the id index to cover ids in [0, n).
-func (h *nodeHeap) grow(n int) {
+func (h *NodeHeap) grow(n int) {
 	for len(h.idx) < n {
 		h.idx = append(h.idx, -1)
 	}
 }
 
 // clear empties the heap, resetting the index entries it used.
-func (h *nodeHeap) clear() {
+func (h *NodeHeap) clear() {
 	for _, id := range h.ids {
 		h.idx[id] = -1
 	}
@@ -36,9 +37,9 @@ func (h *nodeHeap) clear() {
 	h.keys = h.keys[:0]
 }
 
-// push inserts id with the given key. Pushing an id twice is a programming
+// Push inserts id with the given key. Pushing an id twice is a programming
 // error and panics.
-func (h *nodeHeap) push(id int, key int64) {
+func (h *NodeHeap) Push(id int, key int64) {
 	h.grow(id + 1)
 	if h.idx[id] >= 0 {
 		panic("memsim: node pushed twice")
@@ -49,16 +50,16 @@ func (h *nodeHeap) push(id int, key int64) {
 	h.up(len(h.ids) - 1)
 }
 
-// peek returns the id with the minimum key, or -1 if empty.
-func (h *nodeHeap) peek() int {
+// Peek returns the id with the minimum key, or -1 if empty.
+func (h *NodeHeap) Peek() int {
 	if len(h.ids) == 0 {
 		return -1
 	}
 	return h.ids[0]
 }
 
-// remove deletes id from the heap. Removing an absent id panics.
-func (h *nodeHeap) remove(id int) {
+// Remove deletes id from the heap. Removing an absent id panics.
+func (h *NodeHeap) Remove(id int) {
 	if id >= len(h.idx) || h.idx[id] < 0 {
 		panic("memsim: removing node not in heap")
 	}
@@ -76,7 +77,7 @@ func (h *nodeHeap) remove(id int) {
 
 // largest returns the id whose resident value is maximal (ties broken by
 // smaller id). It scans the whole heap: only the ablation policies use it.
-func (h *nodeHeap) largest(resident []int64) int {
+func (h *NodeHeap) largest(resident []int64) int {
 	best, bestVal := -1, int64(-1)
 	for _, id := range h.ids {
 		v := resident[id]
@@ -87,14 +88,14 @@ func (h *nodeHeap) largest(resident []int64) int {
 	return best
 }
 
-func (h *nodeHeap) swap(i, j int) {
+func (h *NodeHeap) swap(i, j int) {
 	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
 	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
 	h.idx[h.ids[i]] = int32(i)
 	h.idx[h.ids[j]] = int32(j)
 }
 
-func (h *nodeHeap) less(i, j int) bool {
+func (h *NodeHeap) less(i, j int) bool {
 	if h.keys[i] != h.keys[j] {
 		return h.keys[i] < h.keys[j]
 	}
@@ -109,7 +110,7 @@ func (h *nodeHeap) less(i, j int) bool {
 	return h.ids[i] < h.ids[j] // deterministic tie-break
 }
 
-func (h *nodeHeap) up(i int) {
+func (h *NodeHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !h.less(i, p) {
@@ -120,7 +121,7 @@ func (h *nodeHeap) up(i int) {
 	}
 }
 
-func (h *nodeHeap) down(i int) {
+func (h *NodeHeap) down(i int) {
 	n := len(h.ids)
 	for {
 		l, r := 2*i+1, 2*i+2

@@ -247,25 +247,25 @@ func TestPoliciesString(t *testing.T) {
 }
 
 func TestHeapBasics(t *testing.T) {
-	h := &nodeHeap{}
-	if h.peek() != -1 {
+	h := &NodeHeap{}
+	if h.Peek() != -1 {
 		t.Fatal("empty peek")
 	}
-	h.push(3, 5)
-	h.push(1, 2)
-	h.push(7, 9)
-	h.push(4, 2) // tie with node 1: smaller id wins
-	if h.peek() != 1 {
-		t.Fatalf("peek=%d", h.peek())
+	h.Push(3, 5)
+	h.Push(1, 2)
+	h.Push(7, 9)
+	h.Push(4, 2) // tie with node 1: smaller id wins
+	if h.Peek() != 1 {
+		t.Fatalf("peek=%d", h.Peek())
 	}
-	h.remove(1)
-	if h.peek() != 4 {
-		t.Fatalf("peek=%d after remove", h.peek())
+	h.Remove(1)
+	if h.Peek() != 4 {
+		t.Fatalf("peek=%d after remove", h.Peek())
 	}
-	h.remove(7)
-	h.remove(4)
-	if h.peek() != 3 || h.len() != 1 {
-		t.Fatalf("peek=%d len=%d", h.peek(), h.len())
+	h.Remove(7)
+	h.Remove(4)
+	if h.Peek() != 3 || h.len() != 1 {
+		t.Fatalf("peek=%d len=%d", h.Peek(), h.len())
 	}
 	resident := []int64{0, 0, 0, 9, 0, 0, 0, 0}
 	if h.largest(resident) != 3 {
@@ -276,18 +276,77 @@ func TestHeapBasics(t *testing.T) {
 			t.Error("double push should panic")
 		}
 	}()
-	h.push(3, 1)
+	h.Push(3, 1)
 }
 
 func TestHeapRemoveAbsentPanics(t *testing.T) {
-	h := &nodeHeap{}
-	h.push(1, 1)
+	h := &NodeHeap{}
+	h.Push(1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("remove absent should panic")
 		}
 	}()
-	h.remove(2)
+	h.Remove(2)
+}
+
+// TestHeapHoldsOnlyLiveOutputs steps the simulator one node at a time and
+// checks after every step that the eviction heap holds exactly the live
+// outputs: executed, not the root, parent not yet executed, not fully
+// evicted. Consumed children left behind as dead entries would leave a
+// 500-node chain with 499 entries at the end.
+func TestHeapHoldsOnlyLiveOutputs(t *testing.T) {
+	weights := make([]int64, 500)
+	for i := range weights {
+		weights[i] = 1
+	}
+	chain := tree.Chain(weights...)
+	rnd := randomTree(300, rand.New(rand.NewSource(11)))
+	cases := []struct {
+		name  string
+		tr    *tree.Tree
+		sched tree.Schedule
+	}{
+		{"chain500", chain, chain.NaturalPostorder()},
+		{"random300-postorder", rnd, rnd.NaturalPostorder()},
+		{"random300-topological", rnd, randomTopological(rnd, rand.New(rand.NewSource(12)))},
+	}
+	for _, c := range cases {
+		n, root := c.tr.N(), c.tr.Root()
+		lb := c.tr.MaxWBar()
+		peak, err := Peak(c.tr, c.sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, M := range []int64{lb, (lb + peak) / 2} {
+			for _, pol := range []EvictionPolicy{FiF, NiF, LargestFirst} {
+				var s Simulator
+				s.begin(c.tr, n)
+				if err := s.index(n, c.sched, 0); err != nil {
+					t.Fatal(err)
+				}
+				var st simState
+				for k := range c.sched {
+					if err := s.steps(&st, c.tr, root, M, c.sched[k:k+1], pol, false); err != nil {
+						t.Fatal(err)
+					}
+					live := 0
+					for _, u := range c.sched[:k+1] {
+						want := u != root && s.pos[c.tr.Parent(u)] > int32(k) && s.resident[u] > 0
+						if in := s.h.idx[u] >= 0; in != want {
+							t.Fatalf("%s M=%d %v step %d: node %d in heap=%v, live=%v", c.name, M, pol, k, u, in, want)
+						}
+						if want {
+							live++
+						}
+					}
+					if s.h.len() != live {
+						t.Fatalf("%s M=%d %v step %d: heap holds %d entries, %d live outputs", c.name, M, pol, k, s.h.len(), live)
+					}
+				}
+			}
+		}
+	}
 }
 
 // randomTree builds a random tree by attaching each node to a random

@@ -34,7 +34,7 @@ type ChildRanker interface {
 //
 // The zero value is ready to use.
 type Simulator struct {
-	h        nodeHeap
+	h        NodeHeap
 	pos      []int32  // schedule position per node, valid iff stamp matches
 	stamp    []uint64 // generation stamp validating pos/resident/tau entries
 	gen      uint64
@@ -180,7 +180,8 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 		}
 		// The children of v leave the active set: their outputs are
 		// consumed by v's execution (any evicted parts are read back,
-		// which costs no additional writes).
+		// which costs no additional writes). They leave the heap too, so
+		// it holds live outputs only and no push sifts past dead entries.
 		var cs int64
 		for _, c := range ts.Children(v) {
 			if s.stamp[c] != gen || s.pos[c] > int32(step) {
@@ -188,6 +189,9 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 			}
 			residentSum -= s.resident[c]
 			s.resident[c] = 0
+			if s.h.idx[c] >= 0 {
+				s.h.Remove(c)
+			}
 			cs += ts.Weight(c)
 		}
 		need := cs // w̄(v) = max(w_v, Σ w_child)
@@ -207,7 +211,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 			if policy == LargestFirst {
 				victim = s.h.largest(s.resident)
 			} else {
-				victim = s.h.peek()
+				victim = s.h.Peek()
 			}
 			if victim < 0 {
 				return fmt.Errorf("memsim: internal error: overflow with empty active set at step %d", step)
@@ -223,7 +227,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 			ioSum += take
 			evicted += take
 			if s.resident[victim] == 0 {
-				s.h.remove(victim)
+				s.h.Remove(victim)
 			}
 		}
 		// v's output becomes active (unless v is the root, whose output
@@ -241,7 +245,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 			default:
 				key = 0 // LargestFirst scans resident sizes dynamically
 			}
-			s.h.push(v, key)
+			s.h.Push(v, key)
 		}
 		if traced {
 			after := residentSum

@@ -8,14 +8,16 @@
 // unit of a task's output is Config.UnitSize bytes; executing a task needs
 // all children outputs materialized plus its own output buffer, within
 // M·UnitSize bytes of resident data; evictions write the tail of the
-// victim's buffer to the spill store and release that memory. On
-// completion it reports the exact volumes moved, which the tests check
-// against the planner's predicted τ.
+// victim's buffer to the spill store and release that memory. Victims come
+// from memsim's FiF heap, but the eviction loop and its accounting are the
+// executor's own, so the volumes it reports on completion are an
+// independent check of the planner's predicted τ.
 package oocexec
 
 import (
 	"fmt"
 
+	"repro/internal/memsim"
 	"repro/internal/tree"
 )
 
@@ -31,13 +33,6 @@ type Config struct {
 	// SpillDir is the directory for spill files; empty means an
 	// in-memory store (useful in tests and benchmarks).
 	SpillDir string
-}
-
-func (c Config) unitSize() int {
-	if c.UnitSize <= 0 {
-		return 64
-	}
-	return c.UnitSize
 }
 
 // Stats reports the actual data movement of an execution.
@@ -70,7 +65,10 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 	if err := tree.Validate(t, sched); err != nil {
 		return nil, stats, err
 	}
-	unit := cfg.unitSize()
+	unit := int64(cfg.UnitSize)
+	if unit <= 0 {
+		unit = 64
+	}
 	store, err := newStore(cfg.SpillDir)
 	if err != nil {
 		return nil, stats, err
@@ -82,35 +80,8 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 	resident := make([][]byte, n)
 	spilled := make([]int64, n) // units of i currently in the store
 	var residentUnits int64
-
-	h := &evictHeap{}
-	evict := func(need int64) error {
-		for residentUnits+need > M {
-			victim := h.peek()
-			if victim < 0 {
-				return fmt.Errorf("oocexec: memory overflow with nothing evictable")
-			}
-			have := int64(len(resident[victim])) / int64(unit)
-			take := residentUnits + need - M
-			if take > have {
-				take = have
-			}
-			cut := int64(len(resident[victim])) - take*int64(unit)
-			if err := store.write(victim, resident[victim][cut:]); err != nil {
-				return err
-			}
-			resident[victim] = resident[victim][:cut:cut]
-			spilled[victim] += take
-			residentUnits -= take
-			stats.UnitsWritten += take
-			stats.BytesWritten += take * int64(unit)
-			stats.Spills++
-			if len(resident[victim]) == 0 {
-				h.remove(victim)
-			}
-		}
-		return nil
-	}
+	// FiF: the heap's minimum is the output whose parent runs last.
+	var h memsim.NodeHeap
 
 	for _, v := range sched {
 		// Materialize the children: read back any spilled suffixes.
@@ -118,42 +89,56 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 		// their resident parts leave the "other residents" pool now.
 		inputs := make(map[int][]byte, t.NumChildren(v))
 		for _, c := range t.Children(v) {
-			residentUnits -= int64(len(resident[c])) / int64(unit)
-			if len(resident[c]) > 0 && spilled[c] == 0 {
-				inputs[c] = resident[c]
-				resident[c] = nil
-				h.remove(c)
-				continue
+			buf := resident[c]
+			residentUnits -= int64(len(buf)) / unit
+			if len(buf) > 0 {
+				h.Remove(c)
 			}
-			buf := make([]byte, 0, t.Weight(c)*int64(unit))
-			buf = append(buf, resident[c]...)
+			resident[c] = nil
 			if spilled[c] > 0 {
 				back, err := store.read(c)
 				if err != nil {
 					return nil, stats, err
 				}
-				buf = append(buf, back...)
+				buf = append(append(make([]byte, 0, t.Weight(c)*unit), buf...), back...)
 				stats.UnitsRead += spilled[c]
-				stats.BytesRead += spilled[c] * int64(unit)
+				stats.BytesRead += spilled[c] * unit
 				stats.Reads++
 				spilled[c] = 0
 			}
-			if got := int64(len(buf)); got != t.Weight(c)*int64(unit) {
+			if got := int64(len(buf)); got != t.Weight(c)*unit {
 				return nil, stats, fmt.Errorf("oocexec: child %d reassembled to %d bytes, want %d",
-					c, got, t.Weight(c)*int64(unit))
+					c, got, t.Weight(c)*unit)
 			}
-			if len(resident[c]) > 0 {
-				h.remove(c)
-			}
-			resident[c] = nil
 			inputs[c] = buf
 		}
 		need := t.WBar(v)
 		if need > M {
 			return nil, stats, fmt.Errorf("oocexec: task %d needs w̄=%d > M=%d", v, need, M)
 		}
-		if err := evict(need); err != nil {
-			return nil, stats, err
+		for residentUnits+need > M {
+			victim := h.Peek()
+			if victim < 0 {
+				return nil, stats, fmt.Errorf("oocexec: memory overflow with nothing evictable")
+			}
+			take := min(residentUnits+need-M, int64(len(resident[victim]))/unit)
+			cut := int64(len(resident[victim])) - take*unit
+			if err := store.write(victim, resident[victim][cut:]); err != nil {
+				return nil, stats, err
+			}
+			// Drop the spilled tail from memory: a reslice would keep the
+			// whole output array reachable until the parent consumes it.
+			if cut == 0 {
+				resident[victim] = nil
+				h.Remove(victim)
+			} else {
+				resident[victim] = append([]byte(nil), resident[victim][:cut]...)
+			}
+			spilled[victim] += take
+			residentUnits -= take
+			stats.UnitsWritten += take
+			stats.BytesWritten += take * unit
+			stats.Spills++
 		}
 		if peak := residentUnits + need; peak > stats.PeakResidentUnits {
 			stats.PeakResidentUnits = peak
@@ -162,7 +147,7 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 		if err != nil {
 			return nil, stats, fmt.Errorf("oocexec: task %d: %w", v, err)
 		}
-		if got, want := int64(len(out)), t.Weight(v)*int64(unit); got != want {
+		if got, want := int64(len(out)), t.Weight(v)*unit; got != want {
 			return nil, stats, fmt.Errorf("oocexec: task %d produced %d bytes, want %d", v, got, want)
 		}
 		if t.Parent(v) == tree.None {
@@ -171,8 +156,7 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 		resident[v] = out
 		residentUnits += t.Weight(v)
 		if t.Weight(v) > 0 {
-			// FiF: evict first the node whose parent runs last.
-			h.push(v, -int64(pos[t.Parent(v)]))
+			h.Push(v, -int64(pos[t.Parent(v)]))
 		}
 	}
 	return nil, stats, fmt.Errorf("oocexec: schedule ended without executing the root")

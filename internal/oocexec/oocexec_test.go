@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/liu"
@@ -139,76 +140,43 @@ func TestExecuteErrors(t *testing.T) {
 	}
 }
 
-func TestExecuteParallelMatchesSequential(t *testing.T) {
-	const unit = 8
-	for _, seed := range []int64{8, 9} {
-		tr := synth(100, seed)
-		sched, peak := liu.MinMem(tr)
-		lb := tr.MaxWBar()
-		f := hashCompute(tr, unit)
-		want, _, err := Execute(tr, peak, sched, Config{UnitSize: unit}, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, M := range []int64{lb, (lb + peak) / 2, peak + 50} {
-				if M < lb {
-					continue
-				}
-				got, st, err := ExecuteParallel(tr, M, sched, workers, Config{UnitSize: unit}, f)
-				if err != nil {
-					t.Fatalf("seed=%d workers=%d M=%d: %v", seed, workers, M, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("seed=%d workers=%d M=%d: result differs", seed, workers, M)
-				}
-				if st.PeakResidentUnits > M {
-					t.Fatalf("seed=%d workers=%d: peak %d exceeds M=%d", seed, workers, st.PeakResidentUnits, M)
-				}
-				if st.UnitsRead != st.UnitsWritten {
-					t.Fatalf("reads %d ≠ writes %d", st.UnitsRead, st.UnitsWritten)
-				}
-			}
-		}
+// TestEvictionReleasesBuffer: a fully evicted output must leave memory.
+// Node 1 (W units) runs first, then node 3 (W+1 units) under M = W+1
+// evicts all of it to the file store. Inside Compute(3) the model holds
+// exactly w̄(3) = M units, the task's own output, so the live heap may
+// grow by M·UnitSize plus slack; a spilled buffer the executor still
+// reaches adds another W·UnitSize.
+func TestEvictionReleasesBuffer(t *testing.T) {
+	const unit = 16
+	const W = 1 << 20 // 16 MiB per output
+	tr := tree.MustNew([]int{tree.None, 0, 0, 2}, []int64{1, W, 1, W + 1})
+	M := int64(W + 1)
+	heapAlloc := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
 	}
-}
-
-func TestExecuteParallelFileStore(t *testing.T) {
-	tr := synth(60, 10)
-	sched, peak := liu.MinMem(tr)
-	lb := tr.MaxWBar()
-	if peak <= lb {
-		t.Skip("no pressure")
+	var during int64
+	f := func(node int, inputs map[int][]byte) ([]byte, error) {
+		out := make([]byte, tr.Weight(node)*unit)
+		if node == 3 {
+			during = heapAlloc()
+		}
+		return out, nil
 	}
-	f := hashCompute(tr, 8)
-	want, _, err := Execute(tr, peak, sched, Config{UnitSize: 8}, f)
+	base := heapAlloc()
+	_, st, err := Execute(tr, M, tree.Schedule{1, 3, 2, 0}, Config{UnitSize: unit, SpillDir: t.TempDir()}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ExecuteParallel(tr, lb, sched, 4, Config{UnitSize: 8, SpillDir: t.TempDir()}, f)
-	if err != nil {
-		t.Fatal(err)
+	if st.UnitsWritten != W || st.UnitsRead != W {
+		t.Fatalf("wrote %d and read %d units, want %d each", st.UnitsWritten, st.UnitsRead, W)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("result differs")
-	}
-	if st.UnitsWritten == 0 {
-		t.Fatal("expected spilling at M=LB")
-	}
-}
-
-func TestExecuteParallelErrors(t *testing.T) {
-	tr := tree.Graft(1, tree.Chain(3, 5), tree.Chain(3, 5))
-	sched, _ := liu.MinMem(tr)
-	f := hashCompute(tr, 4)
-	if _, _, err := ExecuteParallel(tr, 4, sched, 2, Config{UnitSize: 4}, f); err == nil {
-		t.Error("M below LB accepted")
-	}
-	bad := func(node int, inputs map[int][]byte) ([]byte, error) {
-		return nil, fmt.Errorf("boom %d", node)
-	}
-	if _, _, err := ExecuteParallel(tr, 8, sched, 3, Config{UnitSize: 4}, bad); err == nil {
-		t.Error("compute error swallowed")
+	const slack = 4 << 20
+	if grown, limit := during-base, M*unit+slack; grown > limit {
+		t.Fatalf("live heap inside Compute(3) grew by %d MiB, limit %d MiB: the evicted output is still reachable",
+			grown>>20, limit>>20)
 	}
 }
 

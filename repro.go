@@ -257,12 +257,5 @@ func Execute(t *Tree, M int64, sched TaskSchedule, cfg ExecConfig, f Compute) ([
 	return oocexec.Execute(t, M, sched, cfg, f)
 }
 
-// ExecuteParallel runs up to workers tasks concurrently under the shared
-// memory budget M, spilling as needed; the plan provides the admission
-// priority and eviction order.
-func ExecuteParallel(t *Tree, M int64, plan TaskSchedule, workers int, cfg ExecConfig, f Compute) ([]byte, ExecStats, error) {
-	return oocexec.ExecuteParallel(t, M, plan, workers, cfg, f)
-}
-
 // Version identifies the reproduction release.
 const Version = "1.0.0"
