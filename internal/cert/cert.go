@@ -222,7 +222,7 @@ func certifyEngine(ctx context.Context, inst Instance, engine EngineFunc, name s
 		return 0, fail(name+"-resim", "declared (io=%d, peak=%d), re-simulated (io=%d, peak=%d)",
 			res.SimulatedIO, res.SimulatedPeak, sim.IO, sim.Peak)
 	}
-	if check, detail := executed(t, inst.M, res.Schedule, res.SimulatedIO); check != "" {
+	if check, detail := executed(t, inst.M, res.Schedule, res.SimulatedIO, ""); check != "" {
 		return 0, fail(name+"-"+check, "%s", detail)
 	}
 	if res.SimulatedIO < optIO {

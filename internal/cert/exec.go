@@ -38,13 +38,14 @@ func tagCompute(t *tree.Tree) oocexec.Compute {
 	}
 }
 
-// executed runs sched for real through oocexec (memory store) and checks
-// that the bytes it moves are the simulation's: it writes exactly simIO
-// units, reads back all it wrote, and never holds more than M units. It
-// returns the failed check's name and detail, or an empty name when all
-// hold.
-func executed(t *tree.Tree, M int64, sched tree.Schedule, simIO int64) (check, detail string) {
-	_, st, err := oocexec.Execute(t, M, sched, oocexec.Config{UnitSize: execUnit}, tagCompute(t))
+// executed runs sched for real through oocexec, spilling to a scratch
+// file in spillDir (to memory when it is empty), and checks that the
+// bytes it moves are the simulation's: it writes exactly simIO units,
+// reads back all it wrote, and never holds more than M units. It returns
+// the failed check's name and detail, or an empty name when all hold.
+func executed(t *tree.Tree, M int64, sched tree.Schedule, simIO int64, spillDir string) (check, detail string) {
+	cfg := oocexec.Config{UnitSize: execUnit, SpillDir: spillDir}
+	_, st, err := oocexec.Execute(t, M, sched, cfg, tagCompute(t))
 	switch {
 	case err != nil:
 		return "exec-error", err.Error()

@@ -86,7 +86,7 @@ func CheckProperties(ctx context.Context, inst Instance) error {
 		if score.Bounded != (res.SimulatedIO == 0) {
 			return fail("prop-score-bounded", "M=%d: Bounded=%v with io=%d", M, score.Bounded, res.SimulatedIO)
 		}
-		if check, detail := executed(t, M, res.Schedule, res.SimulatedIO); check != "" {
+		if check, detail := executed(t, M, res.Schedule, res.SimulatedIO, ""); check != "" {
 			return fail("prop-"+check, "M=%d: %s", M, detail)
 		}
 		sim, err := memsim.Run(t, M, res.Schedule, memsim.FiF)

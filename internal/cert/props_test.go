@@ -3,8 +3,10 @@ package cert
 import (
 	"context"
 	"math/rand"
+	"os"
 	"testing"
 
+	"repro/internal/expand"
 	"repro/internal/liu"
 	"repro/internal/randtree"
 	"repro/internal/tree"
@@ -25,14 +27,12 @@ func recursiveWeighted(n int, rng *rand.Rand) *tree.Tree {
 	return tree.MustNew(parent, weight)
 }
 
-// TestProperties220Corpus runs the metamorphic suite over the exact
-// 220-instance corpus of the engine's differential tests (same seed, same
-// recipe, same I/O-bound filter), so the property wall and the
-// bit-identity wall judge the same population.
-func TestProperties220Corpus(t *testing.T) {
+// corpus220 rebuilds the exact 220-instance corpus of the engine's
+// differential tests (same seed, same recipe, same I/O-bound filter).
+func corpus220() []Instance {
 	rng := rand.New(rand.NewSource(2024))
-	tried := 0
-	for trial := 0; tried < 220; trial++ {
+	var insts []Instance
+	for trial := 0; len(insts) < 220; trial++ {
 		var tr *tree.Tree
 		if trial%3 == 0 {
 			tr = randtree.Synth(20+rng.Intn(150), rng)
@@ -45,14 +45,52 @@ func TestProperties220Corpus(t *testing.T) {
 			continue
 		}
 		M := lb + rng.Int63n(peak-lb)
-		tried++
-		inst := Instance{Family: "corpus", Seed: int64(trial), M: M, Tree: tr}
+		insts = append(insts, Instance{Family: "corpus", Seed: int64(trial), M: M, Tree: tr})
+	}
+	return insts
+}
+
+// TestProperties220Corpus runs the metamorphic suite over the 220-instance
+// corpus, so the property wall and the bit-identity wall judge the same
+// population.
+func TestProperties220Corpus(t *testing.T) {
+	corpus := corpus220()
+	for _, inst := range corpus {
 		if err := CheckProperties(context.Background(), inst); err != nil {
-			t.Fatalf("corpus trial %d: %v", trial, err)
+			t.Fatalf("corpus trial %d: %v", inst.Seed, err)
 		}
 	}
-	if tried < 200 {
-		t.Fatalf("only %d I/O-bound corpus instances, need >= 200", tried)
+	if len(corpus) < 200 {
+		t.Fatalf("only %d I/O-bound corpus instances, need >= 200", len(corpus))
+	}
+}
+
+// TestFileStore220Corpus executes RecExpand's schedule of every corpus
+// instance with oocexec's file spill store, under the same
+// executed == simulated checks as the memory-store runs, and requires the
+// spill directory to be empty after each execution.
+func TestFileStore220Corpus(t *testing.T) {
+	dir := t.TempDir()
+	var spilled int64
+	for _, inst := range corpus220() {
+		res, err := expand.RecExpand(inst.Tree, inst.M, expand.Options{MaxPerNode: 2, Workers: 1})
+		if err != nil {
+			t.Fatalf("corpus trial %d: %v", inst.Seed, err)
+		}
+		if check, detail := executed(inst.Tree, inst.M, res.Schedule, res.SimulatedIO, dir); check != "" {
+			t.Fatalf("corpus trial %d: %s: %s", inst.Seed, check, detail)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("corpus trial %d: spill dir holds %s after the execution", inst.Seed, entries[0].Name())
+		}
+		spilled += res.SimulatedIO
+	}
+	if spilled == 0 {
+		t.Fatal("no corpus execution spilled")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package oocexec is the out-of-core execution engine: it takes a task
 // tree, a memory bound and a schedule produced by any of the scheduling
 // algorithms, and actually runs the computation with real byte buffers,
-// paging data to a spill store (a directory of files, or memory for tests)
-// exactly as the planner's Furthest-in-Future policy prescribes.
+// paging data to a spill store (one scratch file in a directory, or memory
+// for tests) exactly as the planner's Furthest-in-Future policy prescribes.
 //
 // The engine enforces the paper's model at byte granularity: one weight
 // unit of a task's output is Config.UnitSize bytes; executing a task needs
@@ -23,15 +23,17 @@ import (
 
 // Compute produces the output data of a task from its children's outputs.
 // The returned slice must be exactly Weight(node)·UnitSize bytes. Inputs
-// are keyed by child node id and must not be retained.
+// are keyed by child node id and must not be retained: the executor
+// reuses the map for later tasks.
 type Compute func(node int, inputs map[int][]byte) ([]byte, error)
 
 // Config tunes the executor.
 type Config struct {
 	// UnitSize is the number of bytes per weight unit (default 64).
 	UnitSize int
-	// SpillDir is the directory for spill files; empty means an
-	// in-memory store (useful in tests and benchmarks).
+	// SpillDir is the directory for the spill store, one scratch file
+	// in this directory that Execute removes before it returns; empty
+	// means an in-memory store (useful in tests and benchmarks).
 	SpillDir string
 }
 
@@ -82,12 +84,21 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 	var residentUnits int64
 	// FiF: the heap's minimum is the output whose parent runs last.
 	var h memsim.NodeHeap
+	// One inputs map for the run; Compute may not retain it. A cleared
+	// map keeps its capacity, so after a task wider than one map group
+	// (8 entries) the next task starts afresh, or every later clear and
+	// range would pay that task's degree.
+	inputs := map[int][]byte{}
 
 	for _, v := range sched {
+		if len(inputs) > 8 {
+			inputs = make(map[int][]byte, t.NumChildren(v))
+		} else {
+			clear(inputs)
+		}
 		// Materialize the children: read back any spilled suffixes.
 		// The children's full sizes are accounted inside w̄(v), and
 		// their resident parts leave the "other residents" pool now.
-		inputs := make(map[int][]byte, t.NumChildren(v))
 		for _, c := range t.Children(v) {
 			buf := resident[c]
 			residentUnits -= int64(len(buf)) / unit
@@ -95,20 +106,22 @@ func Execute(t *tree.Tree, M int64, sched tree.Schedule, cfg Config, f Compute) 
 				h.Remove(c)
 			}
 			resident[c] = nil
+			want := t.Weight(c) * unit
+			if got := int64(len(buf)) + spilled[c]*unit; got != want {
+				return nil, stats, fmt.Errorf("oocexec: child %d reassembled to %d bytes, want %d", c, got, want)
+			}
 			if spilled[c] > 0 {
-				back, err := store.read(c)
-				if err != nil {
+				// One buffer per reloaded child: the resident prefix is
+				// copied in and the store fills the spilled suffix.
+				full := make([]byte, want)
+				if err := store.read(c, full[copy(full, buf):]); err != nil {
 					return nil, stats, err
 				}
-				buf = append(append(make([]byte, 0, t.Weight(c)*unit), buf...), back...)
+				buf = full
 				stats.UnitsRead += spilled[c]
 				stats.BytesRead += spilled[c] * unit
 				stats.Reads++
 				spilled[c] = 0
-			}
-			if got := int64(len(buf)); got != t.Weight(c)*unit {
-				return nil, stats, fmt.Errorf("oocexec: child %d reassembled to %d bytes, want %d",
-					c, got, t.Weight(c)*unit)
 			}
 			inputs[c] = buf
 		}

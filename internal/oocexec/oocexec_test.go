@@ -2,8 +2,11 @@ package oocexec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -140,58 +143,77 @@ func TestExecuteErrors(t *testing.T) {
 	}
 }
 
-// TestEvictionReleasesBuffer: a fully evicted output must leave memory.
-// Node 1 (W units) runs first, then node 3 (W+1 units) under M = W+1
-// evicts all of it to the file store. Inside Compute(3) the model holds
-// exactly w̄(3) = M units, the task's own output, so the live heap may
-// grow by M·UnitSize plus slack; a spilled buffer the executor still
-// reaches adds another W·UnitSize.
+// TestEvictionReleasesBuffer: a fully evicted output must leave memory,
+// and reading it back must cost one buffer. Node 1 (W units) runs first,
+// then node 3 (W+1 units) under M = W+1 evicts all of it. Inside
+// Compute(3) the model holds exactly w̄(3) = M units, the task's own
+// output, so with the file store the live heap may grow by M·UnitSize plus
+// slack; a spilled buffer the executor still reaches adds another
+// W·UnitSize. Beyond Compute's outputs, Execute may allocate the reloaded
+// buffer (the spilled bytes) plus slack, and the memory store one more
+// copy of the spilled bytes.
 func TestEvictionReleasesBuffer(t *testing.T) {
 	const unit = 16
 	const W = 1 << 20 // 16 MiB per output
+	const slack = 1 << 20
 	tr := tree.MustNew([]int{tree.None, 0, 0, 2}, []int64{1, W, 1, W + 1})
 	M := int64(W + 1)
-	heapAlloc := func() int64 {
+	var outputs int64
+	for v := range tr.N() {
+		outputs += tr.Weight(v) * unit
+	}
+	memStats := func() *runtime.MemStats {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+		return &ms
 	}
-	var during int64
-	f := func(node int, inputs map[int][]byte) ([]byte, error) {
-		out := make([]byte, tr.Weight(node)*unit)
-		if node == 3 {
-			during = heapAlloc()
+	for _, tc := range []struct {
+		store  string
+		dir    string
+		copies int64 // of the spilled bytes Execute may allocate
+	}{
+		{"file", t.TempDir(), 1},
+		{"memory", "", 2},
+	} {
+		var during uint64
+		f := func(node int, inputs map[int][]byte) ([]byte, error) {
+			out := make([]byte, tr.Weight(node)*unit)
+			if node == 3 {
+				during = memStats().HeapAlloc
+			}
+			return out, nil
 		}
-		return out, nil
-	}
-	base := heapAlloc()
-	_, st, err := Execute(tr, M, tree.Schedule{1, 3, 2, 0}, Config{UnitSize: unit, SpillDir: t.TempDir()}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.UnitsWritten != W || st.UnitsRead != W {
-		t.Fatalf("wrote %d and read %d units, want %d each", st.UnitsWritten, st.UnitsRead, W)
-	}
-	const slack = 4 << 20
-	if grown, limit := during-base, M*unit+slack; grown > limit {
-		t.Fatalf("live heap inside Compute(3) grew by %d MiB, limit %d MiB: the evicted output is still reachable",
-			grown>>20, limit>>20)
+		before := memStats()
+		_, st, err := Execute(tr, M, tree.Schedule{1, 3, 2, 0}, Config{UnitSize: unit, SpillDir: tc.dir}, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := memStats()
+		if st.UnitsWritten != W || st.UnitsRead != W {
+			t.Fatalf("%s: wrote %d and read %d units, want %d each", tc.store, st.UnitsWritten, st.UnitsRead, W)
+		}
+		if tc.dir != "" {
+			const heapSlack = 4 << 20
+			if grown, limit := int64(during-before.HeapAlloc), M*unit+heapSlack; grown > limit {
+				t.Fatalf("live heap inside Compute(3) grew by %d MiB, limit %d MiB: the evicted output is still reachable",
+					grown>>20, limit>>20)
+			}
+		}
+		alloc := int64(after.TotalAlloc-before.TotalAlloc) - outputs
+		if limit := tc.copies*st.BytesWritten + slack; alloc > limit {
+			t.Fatalf("%s store: Execute allocated %d MiB beyond Compute's outputs to move %d MiB, limit %d MiB",
+				tc.store, alloc>>20, st.BytesWritten>>20, limit>>20)
+		}
 	}
 }
 
 func TestStoreChunkOrder(t *testing.T) {
-	for _, mk := range []func() spillStore{
-		func() spillStore { return &memStore{chunks: map[int][][]byte{}} },
-		func() spillStore {
-			s, err := newStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-	} {
-		s := mk()
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := newStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Evictions cut suffixes back to front: [6,9) first, then [2,6).
 		if err := s.write(5, []byte{6, 7, 8}); err != nil {
 			t.Fatal(err)
@@ -199,21 +221,166 @@ func TestStoreChunkOrder(t *testing.T) {
 		if err := s.write(5, []byte{2, 3, 4, 5}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.read(5)
-		if err != nil {
+		for _, n := range []int{6, 8} {
+			if err := s.read(5, make([]byte, n)); err == nil {
+				t.Errorf("dir=%q: read into %d bytes of a 7-byte spill accepted", dir, n)
+			}
+		}
+		got := make([]byte, 7)
+		if err := s.read(5, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, []byte{2, 3, 4, 5, 6, 7, 8}) {
-			t.Fatalf("reassembled %v", got)
+			t.Fatalf("dir=%q: reassembled %v", dir, got)
 		}
-		if _, err := s.read(5); err == nil {
-			t.Error("double read accepted")
+		if err := s.read(5, got); err == nil {
+			t.Errorf("dir=%q: double read accepted", dir)
 		}
-		if _, err := s.read(99); err == nil {
-			t.Error("read of unspilled node accepted")
+		if err := s.read(99, nil); err == nil {
+			t.Errorf("dir=%q: read of unspilled node accepted", dir)
 		}
 		if err := s.cleanup(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestFileStoreResetsWhenEmpty: the end offset returns to 0 only once no
+// node holds spilled data, and chunks written before and after the reset
+// read back intact.
+func TestFileStoreResetsWhenEmpty(t *testing.T) {
+	st, err := newStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := st.(*fileStore)
+	defer s.cleanup()
+	write := func(node int, data ...byte) {
+		if err := s.write(node, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(node int, want ...byte) {
+		got := make([]byte, len(want))
+		if err := s.read(node, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("node %d read back %v, want %v", node, got, want)
+		}
+	}
+	write(1, 3, 4)
+	write(2, 9)
+	write(1, 1, 2)
+	read(1, 1, 2, 3, 4)
+	if s.end != 5 {
+		t.Fatalf("end offset %d while node 2 still holds data, want 5", s.end)
+	}
+	write(3, 7, 8)
+	read(2, 9)
+	read(3, 7, 8)
+	if s.end != 0 {
+		t.Fatalf("end offset %d with nothing spilled, want 0", s.end)
+	}
+	write(4, 6, 6, 6)
+	if off := s.extents[4][0].off; off != 0 {
+		t.Fatalf("first write after the reset at offset %d, want 0", off)
+	}
+	write(4, 5)
+	read(4, 5, 6, 6, 6)
+	fi, err := s.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 7 {
+		t.Fatalf("spill file holds %d bytes, want the high-water 7", fi.Size())
+	}
+}
+
+// TestExecuteSpillDir: Execute leaves SpillDir empty whether it succeeds
+// or Compute fails, and a missing SpillDir fails before the first task.
+func TestExecuteSpillDir(t *testing.T) {
+	tr := synth(60, 2)
+	sched, _ := liu.MinMem(tr)
+	M := tr.MaxWBar()
+	dir := t.TempDir()
+	empty := func(when string) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Fatalf("%s: spill dir holds %d entries, e.g. %s", when, len(entries), entries[0].Name())
+		}
+	}
+	f := hashCompute(tr, 8)
+	_, st, err := Execute(tr, M, sched, Config{UnitSize: 8, SpillDir: dir}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spills == 0 {
+		t.Fatal("instance does not spill")
+	}
+	empty("after success")
+
+	calls := 0
+	failing := func(node int, inputs map[int][]byte) ([]byte, error) {
+		if calls++; calls == len(sched)/2 {
+			return nil, errors.New("boom")
+		}
+		return f(node, inputs)
+	}
+	if _, _, err := Execute(tr, M, sched, Config{UnitSize: 8, SpillDir: dir}, failing); err == nil {
+		t.Fatal("compute error swallowed")
+	}
+	empty("after a Compute error")
+
+	ran := false
+	never := func(node int, inputs map[int][]byte) ([]byte, error) {
+		ran = true
+		return f(node, inputs)
+	}
+	_, _, err = Execute(tr, M, sched, Config{UnitSize: 8, SpillDir: filepath.Join(dir, "missing")}, never)
+	if err == nil || ran {
+		t.Fatalf("missing spill dir: err=%v, a task ran=%v", err, ran)
+	}
+}
+
+// TestComputeSeesExactlyItsChildren guards the reused inputs map: every
+// call sees exactly its task's children, also after a task wider than one
+// map group. Node 1 has 10 children; chains hang below node 2.
+func TestComputeSeesExactlyItsChildren(t *testing.T) {
+	parent := []int{tree.None, 0, 0}
+	for range 10 {
+		parent = append(parent, 1) // nodes 3..12
+	}
+	parent = append(parent, 2, 13, 14, 15, 15) // chain 2 ← 13 ← 14 ← 15, leaves 16, 17
+	weight := make([]int64, len(parent))
+	for i := range weight {
+		weight[i] = int64(1 + i%3)
+	}
+	tr := tree.MustNew(parent, weight)
+	sched := tree.Schedule{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 16, 17, 15, 14, 13, 2, 0}
+	_, peak := liu.MinMem(tr)
+	for _, M := range []int64{tr.MaxWBar(), peak} {
+		seen := 0
+		f := func(node int, inputs map[int][]byte) ([]byte, error) {
+			seen++
+			if len(inputs) != tr.NumChildren(node) {
+				return nil, fmt.Errorf("task %d got %d inputs, has %d children", node, len(inputs), tr.NumChildren(node))
+			}
+			for _, c := range tr.Children(node) {
+				if _, ok := inputs[c]; !ok {
+					return nil, fmt.Errorf("task %d: input of child %d missing", node, c)
+				}
+			}
+			return make([]byte, tr.Weight(node)), nil
+		}
+		if _, _, err := Execute(tr, M, sched, Config{UnitSize: 1}, f); err != nil {
+			t.Fatalf("M=%d: %v", M, err)
+		}
+		if seen != tr.N() {
+			t.Fatalf("M=%d: Compute ran %d times, want %d", M, seen, tr.N())
 		}
 	}
 }

@@ -1,18 +1,17 @@
 package oocexec
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
-// spillStore persists evicted data. Evictions cut suffixes off a node's
-// buffer, so chunks for one node arrive in back-to-front order; read
-// returns them re-concatenated front-to-back (reverse append order) and
-// discards them.
+// spillStore holds evicted data. Evictions cut suffixes off a node's
+// buffer, so chunks for one node arrive in back-to-front order; read fills
+// dst with them front-to-back (reverse write order) and discards them.
 type spillStore interface {
 	write(node int, data []byte) error
-	read(node int) ([]byte, error)
+	read(node int, dst []byte) error
 	cleanup() error
 }
 
@@ -20,11 +19,11 @@ func newStore(dir string) (spillStore, error) {
 	if dir == "" {
 		return &memStore{chunks: map[int][][]byte{}}, nil
 	}
-	tmp, err := os.MkdirTemp(dir, "oocspill-*")
+	f, err := os.CreateTemp(dir, "oocspill-*")
 	if err != nil {
-		return nil, fmt.Errorf("oocexec: creating spill dir: %w", err)
+		return nil, fmt.Errorf("oocexec: creating spill file: %w", err)
 	}
-	return &fileStore{dir: tmp, sizes: map[int][]int{}}, nil
+	return &fileStore{f: f, extents: map[int][]extent{}}, nil
 }
 
 // memStore keeps chunks in memory; it is the default for tests and for
@@ -39,17 +38,21 @@ func (s *memStore) write(node int, data []byte) error {
 	return nil
 }
 
-func (s *memStore) read(node int) ([]byte, error) {
+func (s *memStore) read(node int, dst []byte) error {
 	cs := s.chunks[node]
-	if len(cs) == 0 {
-		return nil, fmt.Errorf("oocexec: nothing spilled for node %d", node)
+	total := 0
+	for _, c := range cs {
+		total += len(c)
 	}
-	var out []byte
+	if err := checkFill(node, len(cs), total, len(dst)); err != nil {
+		return err
+	}
+	off := 0
 	for i := len(cs) - 1; i >= 0; i-- {
-		out = append(out, cs[i]...)
+		off += copy(dst[off:], cs[i])
 	}
 	delete(s.chunks, node)
-	return out, nil
+	return nil
 }
 
 func (s *memStore) cleanup() error {
@@ -57,59 +60,64 @@ func (s *memStore) cleanup() error {
 	return nil
 }
 
-// fileStore appends each node's chunks to one file per node under a
-// temporary directory and remembers the chunk sizes for reassembly.
+// fileStore writes every chunk to one scratch file at its end offset and
+// records the chunk's extent. The data lives only as long as the run and
+// is read back by the process that wrote it, through the page cache, so
+// nothing is synced. When no node holds spilled data the end offset
+// returns to 0, so the file never grows past the volume spilled since the
+// store was last empty.
 type fileStore struct {
-	dir   string
-	sizes map[int][]int
+	f       *os.File
+	end     int64
+	extents map[int][]extent // per node, in write order
 }
 
-func (s *fileStore) path(node int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("node-%d.spill", node))
-}
+type extent struct{ off, n int64 }
 
 func (s *fileStore) write(node int, data []byte) error {
-	f, err := os.OpenFile(s.path(node), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return err
+	if _, err := s.f.WriteAt(data, s.end); err != nil {
+		return fmt.Errorf("oocexec: spilling node %d: %w", node, err)
 	}
-	defer f.Close()
-	if _, err := f.Write(data); err != nil {
-		return err
-	}
-	s.sizes[node] = append(s.sizes[node], len(data))
-	return f.Sync()
+	s.extents[node] = append(s.extents[node], extent{s.end, int64(len(data))})
+	s.end += int64(len(data))
+	return nil
 }
 
-func (s *fileStore) read(node int) ([]byte, error) {
-	sizes := s.sizes[node]
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("oocexec: nothing spilled for node %d", node)
+func (s *fileStore) read(node int, dst []byte) error {
+	es := s.extents[node]
+	var total int64
+	for _, e := range es {
+		total += e.n
 	}
-	raw, err := os.ReadFile(s.path(node))
-	if err != nil {
-		return nil, err
+	if err := checkFill(node, len(es), int(total), len(dst)); err != nil {
+		return err
 	}
-	total := 0
-	for _, sz := range sizes {
-		total += sz
+	off := int64(0)
+	for i := len(es) - 1; i >= 0; i-- {
+		if _, err := s.f.ReadAt(dst[off:off+es[i].n], es[i].off); err != nil {
+			return fmt.Errorf("oocexec: reading back node %d: %w", node, err)
+		}
+		off += es[i].n
 	}
-	if total != len(raw) {
-		return nil, fmt.Errorf("oocexec: spill file for node %d has %d bytes, want %d", node, len(raw), total)
+	delete(s.extents, node)
+	if len(s.extents) == 0 {
+		s.end = 0
 	}
-	out := make([]byte, 0, total)
-	off := total
-	for i := len(sizes) - 1; i >= 0; i-- {
-		off -= sizes[i]
-		out = append(out, raw[off:off+sizes[i]]...)
-	}
-	delete(s.sizes, node)
-	if err := os.Remove(s.path(node)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
 func (s *fileStore) cleanup() error {
-	return os.RemoveAll(s.dir)
+	return errors.Join(s.f.Close(), os.Remove(s.f.Name()))
+}
+
+// checkFill rejects a read-back whose destination the node's spilled
+// chunks would not fill exactly.
+func checkFill(node, chunks, have, want int) error {
+	if chunks == 0 {
+		return fmt.Errorf("oocexec: nothing spilled for node %d", node)
+	}
+	if have != want {
+		return fmt.Errorf("oocexec: node %d has %d bytes spilled, read-back wants %d", node, have, want)
+	}
+	return nil
 }
