@@ -6,7 +6,9 @@ GO ?= go
 # is the serving family: end-to-end request latency percentiles and
 # admission outcomes of the schedd daemon (BENCH.md). OutOfCoreExecute is
 # the byte-level executor with the memory and the file spill store.
-BENCH ?= RecExpand|FiFSimulator|OptMinMem3000|ScheddLoad|OutOfCoreExecute
+# ScheduleLiveDataset runs the paper's algorithms with the SYNTH dataset
+# live and reports the live heap objects it leaves (DESIGN.md §2.15).
+BENCH ?= RecExpand|FiFSimulator|OptMinMem3000|PostOrderMinIO3000|ScheduleLiveDataset|ScheddLoad|OutOfCoreExecute
 # Trajectory index: bench-json writes BENCH_$(N).json at the repo root.
 N ?= 1
 
@@ -77,7 +79,7 @@ bench-json:
 # One-iteration smoke for CI: every benchmark must at least run (the
 # RecExpand pattern also covers the RecExpandParallel warm-shard sweep).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute|ScheduleLiveDataset|PostOrderMinIO3000' -benchtime 1x .
 
 # The repository benchmark's own module (perfbench/, BENCHMARK.json): vet
 # it and run every workload in --smoke mode. The root module's build and

@@ -26,6 +26,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -310,6 +311,48 @@ func BenchmarkPostOrderMinIO3000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		postorder.MinIO(tr, M)
 	}
+}
+
+// BenchmarkScheduleLiveDataset runs the paper's evaluation loop with the
+// whole SYNTH dataset live, as the evaluation holds it: each iteration
+// schedules one instance with the four paper algorithms and computes its
+// I/O lower bound. The garbage collector marks the live trees on every
+// cycle, so the time depends on how many objects a tree is made of;
+// live_heap_objects counts the objects the dataset leaves live after a
+// collection (about seven per instance with flat child lists, against
+// one per inner node with a slice per child list). It moves by a few
+// objects between runs: the first calls in a process also leave lazily
+// built package state behind.
+func BenchmarkScheduleLiveDataset(b *testing.B) {
+	base := liveHeapObjects()
+	instances := experiments.Synth(experiments.PaperSynth)
+	rn := core.NewRunner(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := instances[i%len(instances)]
+		M := in.M(core.BoundMid)
+		if _, err := rn.RunAll(core.PaperAlgorithms, in.Tree, M); err != nil {
+			b.Fatal(err)
+		}
+		lbSink += core.IOLowerBound(in.Tree, M)
+	}
+	b.StopTimer()
+	live := liveHeapObjects() - base
+	runtime.KeepAlive(instances)
+	b.ReportMetric(float64(live), "live_heap_objects")
+}
+
+// lbSink keeps the compiler from dropping the lower-bound calls.
+var lbSink int64
+
+// liveHeapObjects returns the number of heap objects that survive a
+// collection. The second collection empties the sync.Pool victim caches.
+func liveHeapObjects() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapObjects)
 }
 
 func BenchmarkRecExpand3000(b *testing.B) {
@@ -964,7 +1007,7 @@ func scheddChaosRun(b *testing.B, resetP, truncP float64) {
 	}
 	M := in.M(core.BoundMid)
 	var wantBuf bytes.Buffer
-	rn := core.NewRunner(0)
+	rn := core.NewRunner(1)
 	if _, err := tree.WriteSchedule(&wantBuf, func(yield func(seg []int) bool) bool {
 		_, rerr := rn.RunStream(core.RecExpand, tr, M, yield)
 		return rerr == nil

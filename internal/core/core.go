@@ -154,11 +154,11 @@ func (rn *Runner) Run(alg Algorithm, t *tree.Tree, M int64) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", alg)
 	}
-	sim, err := memsim.Run(t, M, sched, memsim.FiF)
+	io, peak, err := memsim.NewSimulator().Run(t, t.Root(), M, sched, memsim.FiF)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s produced an invalid schedule: %w", alg, err)
 	}
-	return &Result{Algorithm: alg, Schedule: sched, IO: sim.IO, Peak: sim.Peak}, nil
+	return &Result{Algorithm: alg, Schedule: sched, IO: io, Peak: peak}, nil
 }
 
 // expandOptions maps an expansion heuristic and the Runner's settings to

@@ -24,14 +24,20 @@ const (
 
 // MutableTree is a growable task tree supporting node expansion while
 // remembering, for every node, which original task it stems from.
+//
+// The child lists are stored flat like tree.Tree's: node i's children are
+// kids[first[i]:first[i+1]]. An expansion never changes the length of a
+// list (i3 takes i's slot in the parent's list) and each of its two new
+// nodes has exactly one child, so the layout only grows at its end.
 type MutableTree struct {
-	parent   []int
-	children [][]int
-	weight   []int64
-	orig     []int
-	role     []Role
-	rank     []int32 // position in the parent's child list
-	root     int
+	parent []int
+	first  []int32
+	kids   []int
+	weight []int64
+	orig   []int
+	role   []Role
+	rank   []int32 // position in the parent's child list
+	root   int
 
 	expansionIO int64
 	expansions  int
@@ -47,23 +53,23 @@ type MutableTree struct {
 func NewMutable(t *tree.Tree) *MutableTree {
 	n := t.N()
 	m := &MutableTree{
-		parent:   make([]int, n),
-		children: make([][]int, n),
-		weight:   make([]int64, n),
-		orig:     make([]int, n),
-		role:     make([]Role, n),
-		rank:     make([]int32, n),
-		root:     t.Root(),
+		parent: t.Parents(),
+		first:  make([]int32, n+1),
+		kids:   make([]int, 0, n-1),
+		weight: t.Weights(),
+		orig:   make([]int, n),
+		role:   make([]Role, n), // RolePrimary
+		rank:   make([]int32, n),
+		root:   t.Root(),
 	}
-	copy(m.parent, t.Parents())
-	copy(m.weight, t.Weights())
 	for i := 0; i < n; i++ {
-		m.children[i] = append([]int(nil), t.Children(i)...)
-		m.orig[i] = i
-		m.role[i] = RolePrimary
-		for k, c := range m.children[i] {
+		cs := t.Children(i)
+		for k, c := range cs {
 			m.rank[c] = int32(k)
 		}
+		m.kids = append(m.kids, cs...)
+		m.first[i+1] = int32(len(m.kids))
+		m.orig[i] = i
 	}
 	return m
 }
@@ -84,8 +90,12 @@ func (m *MutableTree) Orig(i int) int { return m.orig[i] }
 // Role returns the expansion role of node i.
 func (m *MutableTree) Role(i int) Role { return m.role[i] }
 
-// Children returns node i's current children (owned by the tree).
-func (m *MutableTree) Children(i int) []int { return m.children[i] }
+// Children returns node i's current children (owned by the tree). As with
+// tree.Tree, the slice's capacity ends with the list.
+func (m *MutableTree) Children(i int) []int {
+	lo, hi := m.first[i], m.first[i+1]
+	return m.kids[lo:hi:hi]
+}
 
 // Parent returns node i's current parent, or tree.None for the root.
 func (m *MutableTree) Parent(i int) int { return m.parent[i] }
@@ -115,26 +125,17 @@ func (m *MutableTree) Expand(i int, amount int64) (i2, i3 int, err error) {
 	if amount <= 0 || amount > w {
 		return 0, 0, fmt.Errorf("expand: amount %d out of (0, %d] for node %d", amount, w, i)
 	}
-	i2 = m.addNode(w-amount, m.orig[i], RoleMiddle)
-	i3 = m.addNode(w, m.orig[i], RoleRead)
 	p := m.parent[i]
+	i2 = m.addNode(w-amount, m.orig[i], RoleMiddle, i)
+	i3 = m.addNode(w, m.orig[i], RoleRead, i2)
 	if p == tree.None {
 		m.root = i3
 	} else {
-		cs := m.children[p]
-		for k, c := range cs {
-			if c == i {
-				cs[k] = i3
-				break
-			}
-		}
+		m.kids[m.first[p]+m.rank[i]] = i3 // i3 takes i's slot below p
 	}
 	m.parent[i3] = p
-	m.rank[i3] = m.rank[i] // i3 takes i's slot below p
-	m.children[i3] = append(m.children[i3], i2)
+	m.rank[i3] = m.rank[i]
 	m.parent[i2] = i3
-	m.rank[i2] = 0
-	m.children[i2] = append(m.children[i2], i)
 	m.parent[i] = i2
 	m.rank[i] = 0
 	m.expansionIO += amount
@@ -152,10 +153,13 @@ func (m *MutableTree) Expand(i int, amount int64) (i2, i3 int, err error) {
 	return i2, i3, nil
 }
 
-func (m *MutableTree) addNode(w int64, orig int, role Role) int {
+// addNode appends a node with the single child c; its list is the one
+// entry appended to kids.
+func (m *MutableTree) addNode(w int64, orig int, role Role, c int) int {
 	id := m.N()
 	m.parent = append(m.parent, tree.None)
-	m.children = append(m.children, nil)
+	m.kids = append(m.kids, c)
+	m.first = append(m.first, int32(len(m.kids)))
 	m.weight = append(m.weight, w)
 	m.orig = append(m.orig, orig)
 	m.role = append(m.role, role)
@@ -260,7 +264,7 @@ func (m *MutableTree) EmitMinMemScheduleRelease(r int, yield func(seg []int) boo
 func (m *MutableTree) SubtreeNodes(r int) []int {
 	nodes := []int{r}
 	for head := 0; head < len(nodes); head++ {
-		nodes = append(nodes, m.children[nodes[head]]...)
+		nodes = append(nodes, m.Children(nodes[head])...)
 	}
 	return nodes
 }

@@ -275,15 +275,17 @@ func (c *ProfileCache) availNode(v int) bool { return c.valid[v] && c.prof[v] !=
 // nodes have been appended to the underlying tree; the new nodes start
 // dirty.
 func (c *ProfileCache) Grow() {
-	for len(c.valid) < c.t.N() {
-		c.prof = append(c.prof, nil)
-		c.peak = append(c.peak, 0)
-		c.valid = append(c.valid, false)
-		c.owned = append(c.owned, nil)
-		c.ownedCount = append(c.ownedCount, 0)
-		c.pinned = append(c.pinned, 0)
-		c.inSliceQ = append(c.inSliceQ, false)
+	k := c.t.N() - len(c.valid)
+	if k <= 0 {
+		return
 	}
+	c.prof = append(c.prof, make([]profile, k)...)
+	c.peak = append(c.peak, make([]int64, k)...)
+	c.valid = append(c.valid, make([]bool, k)...)
+	c.owned = append(c.owned, make([]*nodeRope, k)...)
+	c.ownedCount = append(c.ownedCount, make([]int32, k)...)
+	c.pinned = append(c.pinned, make([]int32, k)...)
+	c.inSliceQ = append(c.inSliceQ, make([]bool, k)...)
 }
 
 // Pin marks v (and, for subtree eviction, everything below it) as

@@ -25,7 +25,8 @@
 package liu
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -121,10 +122,11 @@ func minMemProfile(t *tree.Tree, root int) profile {
 // minMemProfileWithPeaks additionally records every finished subtree's
 // optimal peak into peaks when non-nil.
 func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
-	// done[v] holds the finished profile of v's subtree. The scratch (and
-	// its arena) is transient: nothing is ever invalidated here, so the
-	// arena only pools this pass's allocations and is dropped with it.
-	done := make(map[int]profile)
+	// done[v] holds the finished profile of v's subtree until v's parent
+	// consumes it. The scratch (and its arena) is transient: nothing is
+	// ever invalidated here, so the arena only pools this pass's
+	// allocations and is dropped with it.
+	done := make([]profile, t.N())
 	sc := &cacheScratch{}
 	type frame struct {
 		node    int
@@ -145,12 +147,13 @@ func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
 		children := t.Children(v)
 		var merged profile
 		if len(children) > 0 {
-			parts := make([]profile, len(children))
-			for i, c := range children {
-				parts[i] = done[c]
-				delete(done, c)
+			parts := sc.parts[:0]
+			for _, c := range children {
+				parts = append(parts, done[c])
+				done[c] = nil
 			}
 			merged = sc.merge.merge(parts)
+			sc.parts = parts[:0]
 		} else {
 			sc.merge.ensure(1)
 			merged = sc.merge.bufA[:0]
@@ -270,37 +273,23 @@ func (ms *mergeScratch) merge(parts []profile) profile {
 // children are visited in non-increasing order of (subtree peak − output
 // size), per Theorem 3. It returns the postorder schedule and its peak.
 func PostOrderMinMem(t *tree.Tree) (tree.Schedule, int64) {
-	n := t.N()
-	peak := make([]int64, n) // postorder peak of each subtree
-	order := make([][]int, n)
-	for _, v := range t.BottomUp() {
-		children := append([]int(nil), t.Children(v)...)
-		sort.SliceStable(children, func(a, b int) bool {
-			da := peak[children[a]] - t.Weight(children[a])
-			db := peak[children[b]] - t.Weight(children[b])
-			if da != db {
-				return da > db
+	peak := make([]int64, t.N()) // postorder peak of each subtree
+	sched := t.OrderedPostorder(func(v int, children []int) {
+		slices.SortFunc(children, func(a, b int) int {
+			if da, db := peak[a]-t.Weight(a), peak[b]-t.Weight(b); da != db {
+				return cmp.Compare(db, da)
 			}
-			return children[a] < children[b]
+			return cmp.Compare(a, b)
 		})
 		var before int64 // Σ outputs of already-finished siblings
 		p := t.WBar(v)
-		var sched []int
-		for k, c := range children {
+		for _, c := range children {
 			if q := peak[c] + before; q > p {
 				p = q
 			}
 			before += t.Weight(c)
-			if k == 0 {
-				sched = order[c] // reuse: keeps chains linear-time
-			} else {
-				sched = append(sched, order[c]...)
-			}
-			order[c] = nil
 		}
-		sched = append(sched, v)
 		peak[v] = p
-		order[v] = sched
-	}
-	return order[t.Root()], peak[t.Root()]
+	})
+	return sched, peak[t.Root()]
 }

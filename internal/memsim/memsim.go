@@ -153,11 +153,8 @@ func Validate(t *tree.Tree, M int64, sched tree.Schedule, tau []int64) error {
 }
 
 // IOOf is a convenience wrapper returning only the FiF I/O volume of a
-// schedule.
+// schedule. Unlike Run it copies neither the schedule nor τ.
 func IOOf(t *tree.Tree, M int64, sched tree.Schedule) (int64, error) {
-	res, err := Run(t, M, sched, FiF)
-	if err != nil {
-		return 0, err
-	}
-	return res.IO, nil
+	io, _, err := NewSimulator().Run(t, t.Root(), M, sched, FiF)
+	return io, err
 }

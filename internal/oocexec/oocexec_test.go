@@ -245,56 +245,91 @@ func TestStoreChunkOrder(t *testing.T) {
 	}
 }
 
-// TestFileStoreResetsWhenEmpty: the end offset returns to 0 only once no
-// node holds spilled data, and chunks written before and after the reset
-// read back intact.
+// TestFileStoreResetsWhenEmpty: the end offset is the end of the highest
+// extent still holding data, so it falls back when the top chunks are read
+// and returns to 0 once no node holds spilled data; every chunk written
+// before and after reads back intact.
 func TestFileStoreResetsWhenEmpty(t *testing.T) {
-	st, err := newStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := st.(*fileStore)
-	defer s.cleanup()
-	write := func(node int, data ...byte) {
-		if err := s.write(node, data); err != nil {
+	open := func(t *testing.T) (write func(node int, data ...byte), read func(node int, want ...byte), s *fileStore) {
+		st, err := newStore(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
+		s = st.(*fileStore)
+		t.Cleanup(func() { s.cleanup() })
+		write = func(node int, data ...byte) {
+			t.Helper()
+			if err := s.write(node, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read = func(node int, want ...byte) {
+			t.Helper()
+			got := make([]byte, len(want))
+			if err := s.read(node, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("node %d read back %v, want %v", node, got, want)
+			}
+		}
+		return write, read, s
 	}
-	read := func(node int, want ...byte) {
-		got := make([]byte, len(want))
-		if err := s.read(node, got); err != nil {
+	wantEnd := func(t *testing.T, s *fileStore, want int64, when string) {
+		t.Helper()
+		if s.end != want {
+			t.Fatalf("end offset %d %s, want %d", s.end, when, want)
+		}
+	}
+	t.Run("interleaved", func(t *testing.T) {
+		write, read, s := open(t)
+		write(1, 3, 4)
+		write(2, 9)
+		write(1, 1, 2)
+		read(1, 1, 2, 3, 4)
+		wantEnd(t, s, 3, "with node 2's chunk the highest live extent")
+		write(3, 7, 8)
+		read(2, 9)
+		wantEnd(t, s, 5, "while node 3 still holds data")
+		read(3, 7, 8)
+		wantEnd(t, s, 0, "with nothing spilled")
+		write(4, 6, 6, 6)
+		if off := s.stack[s.nodes[4][0]].off; off != 0 {
+			t.Fatalf("first write after the reset at offset %d, want 0", off)
+		}
+		write(4, 5)
+		read(4, 5, 6, 6, 6)
+		fi, err := s.f.Stat()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("node %d read back %v, want %v", node, got, want)
+		if fi.Size() != 5 {
+			t.Fatalf("spill file holds %d bytes, want the high-water 5", fi.Size())
 		}
-	}
-	write(1, 3, 4)
-	write(2, 9)
-	write(1, 1, 2)
-	read(1, 1, 2, 3, 4)
-	if s.end != 5 {
-		t.Fatalf("end offset %d while node 2 still holds data, want 5", s.end)
-	}
-	write(3, 7, 8)
-	read(2, 9)
-	read(3, 7, 8)
-	if s.end != 0 {
-		t.Fatalf("end offset %d with nothing spilled, want 0", s.end)
-	}
-	write(4, 6, 6, 6)
-	if off := s.extents[4][0].off; off != 0 {
-		t.Fatalf("first write after the reset at offset %d, want 0", off)
-	}
-	write(4, 5)
-	read(4, 5, 6, 6, 6)
-	fi, err := s.f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 7 {
-		t.Fatalf("spill file holds %d bytes, want the high-water 7", fi.Size())
-	}
+	})
+	t.Run("read top first", func(t *testing.T) {
+		write, read, s := open(t)
+		write(1, 1, 2, 3) // A
+		write(2, 4, 5)    // B
+		read(2, 4, 5)
+		wantEnd(t, s, 3, "after reading B")
+		write(3, 6)
+		if off := s.stack[s.nodes[3][0]].off; off != 3 {
+			t.Fatalf("write after reading B at offset %d, want A's end 3", off)
+		}
+		read(1, 1, 2, 3)
+		read(3, 6)
+		wantEnd(t, s, 0, "with nothing spilled")
+	})
+	t.Run("read bottom first", func(t *testing.T) {
+		write, read, s := open(t)
+		write(1, 1, 2, 3) // A
+		write(2, 4, 5)    // B
+		read(1, 1, 2, 3)
+		wantEnd(t, s, 5, "while B still holds data")
+		read(2, 4, 5)
+		wantEnd(t, s, 0, "with nothing spilled")
+	})
 }
 
 // TestExecuteSpillDir: Execute leaves SpillDir empty whether it succeeds

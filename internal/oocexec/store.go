@@ -23,7 +23,7 @@ func newStore(dir string) (spillStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oocexec: creating spill file: %w", err)
 	}
-	return &fileStore{f: f, extents: map[int][]extent{}}, nil
+	return &fileStore{f: f, nodes: map[int][]int{}}, nil
 }
 
 // memStore keeps chunks in memory; it is the default for tests and for
@@ -63,45 +63,59 @@ func (s *memStore) cleanup() error {
 // fileStore writes every chunk to one scratch file at its end offset and
 // records the chunk's extent. The data lives only as long as the run and
 // is read back by the process that wrote it, through the page cache, so
-// nothing is synced. When no node holds spilled data the end offset
-// returns to 0, so the file never grows past the volume spilled since the
-// store was last empty.
+// nothing is synced. The extents sit on a stack in write order: a read
+// marks its node's extents dead and pops dead extents off the top, so the
+// end offset is the end of the highest live extent (0 once no node holds
+// spilled data) and the file never grows past the live data's span.
 type fileStore struct {
-	f       *os.File
-	end     int64
-	extents map[int][]extent // per node, in write order
+	f     *os.File
+	end   int64
+	stack []extent      // extents not yet popped, in write order
+	nodes map[int][]int // per node, its extents' stack indices in write order
 }
 
-type extent struct{ off, n int64 }
+type extent struct {
+	off, n int64
+	dead   bool
+}
 
 func (s *fileStore) write(node int, data []byte) error {
 	if _, err := s.f.WriteAt(data, s.end); err != nil {
 		return fmt.Errorf("oocexec: spilling node %d: %w", node, err)
 	}
-	s.extents[node] = append(s.extents[node], extent{s.end, int64(len(data))})
+	s.nodes[node] = append(s.nodes[node], len(s.stack))
+	s.stack = append(s.stack, extent{off: s.end, n: int64(len(data))})
 	s.end += int64(len(data))
 	return nil
 }
 
 func (s *fileStore) read(node int, dst []byte) error {
-	es := s.extents[node]
+	idx := s.nodes[node]
 	var total int64
-	for _, e := range es {
-		total += e.n
+	for _, k := range idx {
+		total += s.stack[k].n
 	}
-	if err := checkFill(node, len(es), int(total), len(dst)); err != nil {
+	if err := checkFill(node, len(idx), int(total), len(dst)); err != nil {
 		return err
 	}
 	off := int64(0)
-	for i := len(es) - 1; i >= 0; i-- {
-		if _, err := s.f.ReadAt(dst[off:off+es[i].n], es[i].off); err != nil {
+	for i := len(idx) - 1; i >= 0; i-- {
+		e := s.stack[idx[i]]
+		if _, err := s.f.ReadAt(dst[off:off+e.n], e.off); err != nil {
 			return fmt.Errorf("oocexec: reading back node %d: %w", node, err)
 		}
-		off += es[i].n
+		off += e.n
 	}
-	delete(s.extents, node)
-	if len(s.extents) == 0 {
-		s.end = 0
+	for _, k := range idx {
+		s.stack[k].dead = true
+	}
+	delete(s.nodes, node)
+	for len(s.stack) > 0 && s.stack[len(s.stack)-1].dead {
+		s.stack = s.stack[:len(s.stack)-1]
+	}
+	s.end = 0
+	if k := len(s.stack); k > 0 {
+		s.end = s.stack[k-1].off + s.stack[k-1].n
 	}
 	return nil
 }

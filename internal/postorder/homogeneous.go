@@ -96,23 +96,9 @@ func ComputeHomLabels(t *tree.Tree, M int64) (*HomLabels, error) {
 // that processes children by non-increasing L labels. Its FiF I/O volume is
 // at most W(T) (Lemma 3), which is optimal (Lemma 5, Theorem 4).
 func HomPostorder(t *tree.Tree, h *HomLabels) tree.Schedule {
-	order := make([][]int, t.N())
-	for _, v := range t.BottomUp() {
-		var sched []int
-		cs := h.Sorted[v]
-		if cs == nil {
-			cs = t.Children(v)
+	return t.OrderedPostorder(func(v int, cs []int) {
+		if sorted := h.Sorted[v]; sorted != nil {
+			copy(cs, sorted)
 		}
-		for k, c := range cs {
-			if k == 0 {
-				sched = order[c] // reuse: keeps chains linear-time
-			} else {
-				sched = append(sched, order[c]...)
-			}
-			order[c] = nil
-		}
-		sched = append(sched, v)
-		order[v] = sched
-	}
-	return order[t.Root()]
+	})
 }

@@ -6,7 +6,8 @@
 package postorder
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -37,24 +38,19 @@ func MinIO(t *tree.Tree, M int64) (tree.Schedule, int64, *Analysis) {
 		A: make([]int64, n),
 		V: make([]int64, n),
 	}
-	order := make([][]int, n)
-	for _, v := range t.BottomUp() {
-		children := append([]int(nil), t.Children(v)...)
+	sched := t.OrderedPostorder(func(v int, children []int) {
 		// Non-increasing A_j − w_j (Theorem 3), deterministic ties.
-		sort.SliceStable(children, func(a, b int) bool {
-			da := an.A[children[a]] - t.Weight(children[a])
-			db := an.A[children[b]] - t.Weight(children[b])
-			if da != db {
-				return da > db
+		slices.SortFunc(children, func(a, b int) int {
+			if da, db := an.A[a]-t.Weight(a), an.A[b]-t.Weight(b); da != db {
+				return cmp.Compare(db, da)
 			}
-			return children[a] < children[b]
+			return cmp.Compare(a, b)
 		})
 		s := t.Weight(v)
 		var ioPeak int64 // max_j (A_j + Σ_{k before j} w_k) − M, clamped at 0
 		var before int64 // Σ outputs of already-finished siblings
 		var vsum int64   // Σ_j V_j
-		var sched []int
-		for k, c := range children {
+		for _, c := range children {
 			if q := an.S[c] + before; q > s {
 				s = q
 			}
@@ -63,23 +59,10 @@ func MinIO(t *tree.Tree, M int64) (tree.Schedule, int64, *Analysis) {
 			}
 			vsum += an.V[c]
 			before += t.Weight(c)
-			if k == 0 {
-				sched = order[c] // reuse: keeps chains linear-time
-			} else {
-				sched = append(sched, order[c]...)
-			}
-			order[c] = nil
 		}
-		sched = append(sched, v)
 		an.S[v] = s
-		if s < M {
-			an.A[v] = s
-		} else {
-			an.A[v] = M
-		}
+		an.A[v] = min(s, M)
 		an.V[v] = ioPeak + vsum
-		order[v] = sched
-	}
-	r := t.Root()
-	return order[r], an.V[r], an
+	})
+	return sched, an.V[t.Root()], an
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -14,11 +15,17 @@ const None = -1
 //
 // The zero Tree is empty and unusable; construct trees with New or one of
 // the builders (Chain, Star, ...).
+//
+// The child lists are stored flat (compressed sparse rows): node i's
+// children are kids[first[i]:first[i+1]], in ascending index order unless
+// SortChildren reorders them. A tree is a handful of allocations whatever
+// its size, so the garbage collector has no per-node objects to mark.
 type Tree struct {
-	parent   []int
-	children [][]int
-	weight   []int64
-	root     int
+	parent []int
+	first  []int32
+	kids   []int
+	weight []int64
+	root   int
 }
 
 // New builds a tree from a parent vector and per-node output-data sizes.
@@ -37,11 +44,14 @@ func New(parent []int, weight []int64) (*Tree, error) {
 	if len(weight) != n {
 		return nil, fmt.Errorf("tree: %d parents but %d weights", n, len(weight))
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d nodes exceed the int32 child offsets", n)
+	}
 	t := &Tree{
-		parent:   make([]int, n),
-		children: make([][]int, n),
-		weight:   make([]int64, n),
-		root:     None,
+		parent: make([]int, n),
+		first:  make([]int32, n+1),
+		weight: make([]int64, n),
+		root:   None,
 	}
 	copy(t.parent, parent)
 	copy(t.weight, weight)
@@ -65,26 +75,42 @@ func New(parent []int, weight []int64) (*Tree, error) {
 		case p == i:
 			return nil, fmt.Errorf("tree: node %d is its own parent", i)
 		default:
-			t.children[p] = append(t.children[p], i)
+			t.first[p]++ // child count, turned into offsets below
 		}
 	}
 	if t.root == None {
 		return nil, fmt.Errorf("tree: no root")
 	}
+	// Offsets: first[i] becomes the end of i's list, and filling the
+	// lists back to front moves it to the start. Children land in
+	// ascending index order.
+	var end int32
+	for i := 0; i < n; i++ {
+		end += t.first[i]
+		t.first[i] = end
+	}
+	t.first[n] = end
+	t.kids = make([]int, end)
+	for i := n - 1; i >= 0; i-- {
+		if p := parent[i]; p != None {
+			t.first[p]--
+			t.kids[t.first[p]] = i
+		}
+	}
 	// Connectivity (equivalently, acyclicity given n-1 edges): every node
-	// must reach the root without revisiting anyone.
+	// must reach the root without revisiting anyone. The first walk marks
+	// i's path up to a finished node, the second marks it finished.
 	seen := make([]uint8, n) // 0 unknown, 1 on current path, 2 done
 	seen[t.root] = 2
 	for i := 0; i < n; i++ {
-		var path []int
-		for v := i; seen[v] != 2; v = t.parent[v] {
-			if seen[v] == 1 {
-				return nil, fmt.Errorf("tree: cycle through node %d", v)
-			}
+		v := i
+		for ; seen[v] == 0; v = t.parent[v] {
 			seen[v] = 1
-			path = append(path, v)
 		}
-		for _, v := range path {
+		if seen[v] == 1 {
+			return nil, fmt.Errorf("tree: cycle through node %d", v)
+		}
+		for v := i; seen[v] == 1; v = t.parent[v] {
 			seen[v] = 2
 		}
 	}
@@ -110,14 +136,18 @@ func (t *Tree) Root() int { return t.root }
 func (t *Tree) Parent(i int) int { return t.parent[i] }
 
 // Children returns i's children. The returned slice is owned by the tree
-// and must not be mutated.
-func (t *Tree) Children(i int) []int { return t.children[i] }
+// and must not be mutated; its capacity ends with the list, so appending
+// to it copies instead of overwriting the next node's children.
+func (t *Tree) Children(i int) []int {
+	lo, hi := t.first[i], t.first[i+1]
+	return t.kids[lo:hi:hi]
+}
 
 // NumChildren returns the number of children of i.
-func (t *Tree) NumChildren(i int) int { return len(t.children[i]) }
+func (t *Tree) NumChildren(i int) int { return int(t.first[i+1] - t.first[i]) }
 
 // IsLeaf reports whether i has no children.
-func (t *Tree) IsLeaf(i int) bool { return len(t.children[i]) == 0 }
+func (t *Tree) IsLeaf(i int) bool { return t.first[i+1] == t.first[i] }
 
 // Weight returns the size w_i of i's output data.
 func (t *Tree) Weight(i int) int64 { return t.weight[i] }
@@ -139,7 +169,7 @@ func (t *Tree) Parents() []int {
 // ChildrenSum returns Σ_{j child of i} Weight(j).
 func (t *Tree) ChildrenSum(i int) int64 {
 	var s int64
-	for _, c := range t.children[i] {
+	for _, c := range t.Children(i) {
 		s += t.weight[c]
 	}
 	return s
@@ -208,7 +238,7 @@ func (t *Tree) TopDown() []int {
 	order := make([]int, 0, t.N())
 	order = append(order, t.root)
 	for head := 0; head < len(order); head++ {
-		order = append(order, t.children[order[head]]...)
+		order = append(order, t.Children(order[head])...)
 	}
 	return order
 }
@@ -226,26 +256,54 @@ func (t *Tree) BottomUp() []int {
 // NaturalPostorder returns the depth-first postorder that visits children
 // in their natural (construction) order.
 func (t *Tree) NaturalPostorder() []int {
-	order := make([]int, 0, t.N())
-	// Iterative DFS to survive deep chains (elimination trees can have
-	// depth in the tens of thousands).
-	type frame struct {
-		node int
-		next int
+	return t.OrderedPostorder(nil)
+}
+
+// OrderedPostorder returns the depth-first postorder that visits the
+// children of every node v in the order arrange(v, cs) leaves in cs. cs
+// starts as a copy of v's child list in the tree's order, and arrange is
+// called on every node after all of its children (bottom-up), so it may
+// sort cs by keys it computed for the children and then compute v's own.
+// A nil arrange keeps the tree's order. The child lists live in one flat
+// copy and the schedule is laid out by subtree sizes, so the walk makes a
+// fixed number of allocations and no recursion, whatever the tree's depth.
+func (t *Tree) OrderedPostorder(arrange func(v int, cs []int)) Schedule {
+	n := t.N()
+	kids := t.kids
+	if arrange != nil {
+		kids = append([]int(nil), t.kids...)
 	}
-	stack := []frame{{t.root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(t.children[f.node]) {
-			c := t.children[f.node][f.next]
-			f.next++
-			stack = append(stack, frame{c, 0})
-			continue
+	order := t.TopDown()
+	// at[v] is v's subtree size until v's parent is placed, then v's
+	// position in the schedule.
+	at := make([]int32, n)
+	for k := n - 1; k >= 0; k-- {
+		v := order[k]
+		cs := kids[t.first[v]:t.first[v+1]:t.first[v+1]]
+		if arrange != nil {
+			arrange(v, cs)
 		}
-		order = append(order, f.node)
-		stack = stack[:len(stack)-1]
+		at[v] = 1
+		for _, c := range cs {
+			at[v] += at[c]
+		}
 	}
-	return order
+	sched := make(Schedule, n)
+	at[t.root] = int32(n - 1)
+	for _, v := range order {
+		// The last child ends just before v; each earlier sibling ends
+		// where the next one's subtree starts.
+		p := at[v]
+		sched[p] = v
+		cs := kids[t.first[v]:t.first[v+1]]
+		for k := len(cs) - 1; k >= 0; k-- {
+			c := cs[k]
+			size := at[c]
+			at[c] = p - 1
+			p -= size
+		}
+	}
+	return sched
 }
 
 // SubtreeSizes returns, for every node, the number of nodes in its subtree
@@ -254,7 +312,7 @@ func (t *Tree) SubtreeSizes() []int {
 	size := make([]int, t.N())
 	for _, v := range t.BottomUp() {
 		size[v] = 1
-		for _, c := range t.children[v] {
+		for _, c := range t.Children(v) {
 			size[v] += size[c]
 		}
 	}
@@ -266,7 +324,7 @@ func (t *Tree) SubtreeSizes() []int {
 func (t *Tree) SubtreeNodes(r int) []int {
 	nodes := []int{r}
 	for head := 0; head < len(nodes); head++ {
-		nodes = append(nodes, t.children[nodes[head]]...)
+		nodes = append(nodes, t.Children(nodes[head])...)
 	}
 	return nodes
 }
@@ -323,8 +381,8 @@ func (t *Tree) String() string {
 // ordering on node indices). It returns the tree to allow chaining. The
 // natural postorder is affected; the structure is not. Sorting is stable.
 func (t *Tree) SortChildren(less func(a, b int) bool) *Tree {
-	for i := range t.children {
-		cs := t.children[i]
+	for i := range t.parent {
+		cs := t.kids[t.first[i]:t.first[i+1]]
 		sort.SliceStable(cs, func(x, y int) bool { return less(cs[x], cs[y]) })
 	}
 	return t
