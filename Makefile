@@ -79,7 +79,7 @@ bench-json:
 # One-iteration smoke for CI: every benchmark must at least run (the
 # RecExpand pattern also covers the RecExpandParallel warm-shard sweep).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute|ScheduleLiveDataset|PostOrderMinIO3000' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute|ScheduleLiveDataset|PostOrderMinIO3000|OptMinMem3000' -benchtime 1x .
 
 # The repository benchmark's own module (perfbench/, BENCHMARK.json): vet
 # it and run every workload in --smoke mode. The root module's build and

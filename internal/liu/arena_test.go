@@ -1,8 +1,13 @@
 package liu
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/randtree"
 )
 
 // TestProfileCacheRecomputeZeroAlloc guards the pooled merge path: on a
@@ -39,8 +44,8 @@ func TestProfileCacheRecomputeZeroAlloc(t *testing.T) {
 
 // TestArenaFreeOnInvalidate pins the recycling discipline that bounds
 // arena memory by the live profile set: Invalidate returns the path's rope
-// nodes to the free list, and the following recomputation drains it again
-// instead of allocating fresh nodes.
+// slots to the free list, and the following recomputation drains it again
+// instead of allocating fresh slots.
 func TestArenaFreeOnInvalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	tr := cacheRandomTree(300, rng)
@@ -53,7 +58,7 @@ func TestArenaFreeOnInvalidate(t *testing.T) {
 	c.Invalidate(leaf)
 	freed := countFreeRopes(&c.sc.arena)
 	if freed == 0 {
-		t.Fatal("Invalidate freed no rope nodes")
+		t.Fatal("Invalidate freed no rope slots")
 	}
 	c.Peak(tr.Root())
 	if n := countFreeRopes(&c.sc.arena); n >= freed {
@@ -71,7 +76,7 @@ func TestArenaFreeOnInvalidate(t *testing.T) {
 
 func countFreeRopes(a *profileArena) int {
 	n := 0
-	for r := a.freeRopes; r != nil; r = r.nextOwned {
+	for r := a.free; r != 0; r = a.store.node(r).next {
 		n++
 	}
 	return n
@@ -107,4 +112,113 @@ func TestEnsureParallelMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMinMemAllocsSublinear pins the transient pass's recycling: the merge
+// copies every child profile, so their slices return to the arena and the
+// canonicalizations ahead reuse them, and no node allocates a leaf rope.
+// MinMem and AllSubtreePeaks must make far fewer allocations than there are
+// nodes.
+func TestMinMemAllocsSublinear(t *testing.T) {
+	for _, n := range []int{3000, 30000} {
+		tr := randtree.Synth(n, rand.New(rand.NewSource(int64(n))))
+		limit := float64(n / 16)
+		if a := testing.AllocsPerRun(3, func() { MinMem(tr) }); a >= limit {
+			t.Errorf("n=%d: MinMem makes %.0f allocations, want < %.0f", n, a, limit)
+		}
+		if a := testing.AllocsPerRun(3, func() { AllSubtreePeaks(tr) }); a >= limit {
+			t.Errorf("n=%d: AllSubtreePeaks makes %.0f allocations, want < %.0f", n, a, limit)
+		}
+	}
+}
+
+// unlistedSlots counts the store slots that are on no list: neither an
+// ownership chain, the primary arena's pending chain, its free list, nor
+// the unused rest of its page. After CheckInvariants has passed (no slot
+// on two lists), zero means every slot the store ever handed out is
+// accounted for.
+func unlistedSlots(c *ProfileCache) int {
+	a := &c.sc.arena
+	if a.store.slots() == 0 {
+		return 0
+	}
+	listed := int(a.allocs) + countFreeRopes(a) + int(a.end-a.bump)
+	for _, n := range c.ownedCount {
+		listed += int(n)
+	}
+	return a.store.slots() - 1 - listed // slot 0 is never handed out
+}
+
+// TestRopeStoreShardedWarm audits the rope store around every path that
+// moves slots between arenas and lists: a sharded warm with 2, 4 and 8
+// workers (whose free slots and unused page tails the primary arena
+// absorbs at the join), invalidate/recompute cycles with subtree
+// eviction and sliceless rebuilds, and a releasing emission (which
+// releases every slot of the tree). After each, CheckInvariants must pass
+// and no slot may be lost.
+func TestRopeStoreShardedWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	audit := func(c *ProfileCache, label string) {
+		t.Helper()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if n := unlistedSlots(c); n != 0 {
+			t.Fatalf("%s: %d rope slots on no list", label, n)
+		}
+	}
+	for trial := 0; trial < 6; trial++ {
+		tr := randtree.Synth(2000+rng.Intn(3000), rng)
+		want := NewProfileCache(tr).AppendSchedule(tr.Root(), nil)
+		for _, workers := range []int{2, 4, 8} {
+			for _, budget := range []int64{0, 1, 1 << 14} {
+				label := fmt.Sprintf("trial %d w=%d budget=%d", trial, workers, budget)
+				m := newWeightedMutable(tr)
+				c := NewProfileCacheOpts(m, CacheOptions{MaxResidentBytes: budget})
+				c.EnsureParallel(m.root, workers)
+				audit(c, label+" after the sharded warm")
+				for e := 0; e < 20; e++ {
+					v := rng.Intn(m.N())
+					c.Invalidate(v)
+					if e%2 == 0 {
+						c.EnsureParallel(m.root, workers)
+					} else {
+						c.Peak(m.root)
+					}
+					// Interior queries rebuild sliceless nodes under
+					// resident ancestors.
+					c.AppendSchedule(rng.Intn(m.N()), nil)
+				}
+				audit(c, label+" after invalidate/recompute cycles")
+				if got := collect(c, m.root, true); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: releasing emission diverges", label)
+				}
+				audit(c, label+" after a releasing emission")
+				if c.Stats().ResidentBytes != 0 {
+					t.Fatalf("%s: %d bytes resident after a releasing emission", label, c.Stats().ResidentBytes)
+				}
+			}
+		}
+	}
+}
+
+// hugeTree reports more nodes than a rope handle can name.
+type hugeTree struct{ TreeLike }
+
+var hugeN = int64(math.MaxInt32) + 1
+
+func (hugeTree) N() int { return int(hugeN) }
+
+// TestGrowPanicsPastInt32 checks that a tree too large for rope handles
+// fails loudly at Grow instead of wrapping a node id into a wrong handle.
+func TestGrowPanicsPastInt32(t *testing.T) {
+	if int64(int(hugeN)) != hugeN {
+		t.Skip("int is 32 bits: no tree can outgrow the handles")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Grow accepted a tree of more than MaxInt32 nodes")
+		}
+	}()
+	NewProfileCache(hugeTree{})
 }

@@ -2,6 +2,7 @@ package liu
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -30,11 +31,12 @@ type TreeLike interface {
 // memory/time trade-off moves.
 type CacheOptions struct {
 	// MaxResidentBytes caps the bytes held by resident profile segment
-	// slices and rope nodes. Under pressure the cache evicts in two tiers
-	// (see DESIGN.md): the segment slices of already-merged profiles are
-	// dropped FIFO as soon as the budget is exceeded, and whole clean
-	// subtrees hanging off an invalidated path are dropped — slices and
-	// rope pages — the moment the path is dirtied. 0 means unlimited.
+	// slices and rope concatenation nodes. Under pressure the cache evicts
+	// in two tiers (see DESIGN.md): the segment slices of already-merged
+	// profiles are dropped FIFO as soon as the budget is exceeded, and
+	// whole clean subtrees hanging off an invalidated path are dropped —
+	// slices and rope slots — the moment the path is dirtied. 0 means
+	// unlimited.
 	//
 	// The cap is a soft target: the working set of the query in flight
 	// (the profile being flattened, the child slices of the merge running
@@ -70,10 +72,11 @@ type CacheOptions struct {
 const cancelPollInterval = 1024
 
 // segmentBytes and ropeBytes are the accounting units of the residency
-// budget: the sizes of the two object kinds the arena hands out.
+// budget: the sizes of a profile segment and of a rope slot. A leaf rope
+// lives in its handle and costs nothing.
 const (
 	segmentBytes = int64(unsafe.Sizeof(segment{}))
-	ropeBytes    = int64(unsafe.Sizeof(nodeRope{}))
+	ropeBytes    = int64(unsafe.Sizeof(ropeNode{}))
 )
 
 // ProfileCache memoizes, per node, the canonical optimal hill–valley
@@ -90,20 +93,25 @@ const (
 //
 //   - dirty (valid[v] == false): peak and profile are stale;
 //   - resident (valid[v], prof[v] != nil): peak and profile are usable;
-//   - sliceless (valid[v], prof[v] == nil, owned[v] != nil): the peak is
-//     correct and the node's rope pages are still live (they are shared
+//   - sliceless (valid[v], prof[v] == nil, owned[v] != 0): the peak is
+//     correct and the node's rope slots are still live (they are shared
 //     upward into resident ancestors' profiles), but the profile's segment
 //     slice was reclaimed after its parent consumed it; it is rebuilt
-//     (deterministically) if the parent is ever recomputed;
-//   - evicted (valid[v], prof[v] == nil, owned[v] == nil): slice and ropes
+//     (deterministically, on the same slots) if the parent is ever
+//     recomputed;
+//   - evicted (valid[v], prof[v] == nil, owned[v] == 0): slice and ropes
 //     both reclaimed; the whole subtree below is in the same state.
+//
+// A node whose canonicalization made no concatenation owns no slot (its
+// own leaf lives in a rope handle), so for it sliceless and evicted are the
+// same state.
 //
 // Invariants (see DESIGN.md for the full memory-model write-up):
 //
 //   - dirty-up-closure: a dirty node's ancestors are all dirty (Invalidate
 //     walks to the root), hence a clean node's entire subtree is clean;
 //   - rope-reference locality: a rope owned by v is referenced only by v's
-//     profile and by profiles of v's ancestors. Rope pages are therefore
+//     profile and by profiles of v's ancestors. Rope slots are therefore
 //     freed only when no ancestor holds a profile slice — which is
 //     guaranteed O(1) at exactly one moment, inside Invalidate, right
 //     after the whole root path has been dirtied; that is the only place
@@ -119,12 +127,12 @@ const (
 //
 // Allocation discipline: the transient state of a recomputation lives in a
 // cacheScratch, and the objects that survive it (the profile slice and the
-// rope nodes it created) come from the scratch's arena and are returned to
+// rope slots it created) come from the scratch's arena and are returned to
 // it by Invalidate and by eviction, so steady-state recomputation is
 // allocation-free and arena memory is bounded by the live profile set (see
-// arena.go). Under CacheOptions the free lists themselves are capped so
-// that pooled pages beyond the budget are released to the garbage
-// collector.
+// arena.go). Rope slots live in one pointer-free paged ropeStore per cache.
+// Under CacheOptions the segment-slice free lists are capped so that
+// pooled slices beyond the budget are released to the garbage collector.
 //
 // Concurrency discipline: a ProfileCache is single-writer. The one
 // exception is EnsureParallel, which shards a warm across disjoint
@@ -138,7 +146,7 @@ type ProfileCache struct {
 	prof  []profile
 	peak  []int64
 	valid []bool
-	owned []*nodeRope // head of the rope-ownership chain per node
+	owned []rope // head of the rope-ownership chain per node
 
 	// Residency-policy state (all zero-cost when opts is the zero value).
 	opts       CacheOptions
@@ -168,24 +176,30 @@ type ProfileCache struct {
 // are monotone except ResidentBytes.
 type CacheStats struct {
 	// ResidentBytes is the current footprint of resident profile slices
-	// and rope nodes (free-list pages excluded).
+	// and rope slots (free lists excluded).
 	ResidentBytes int64
 	// PeakResidentBytes is the high-water mark of ResidentBytes, the
 	// number the MaxResidentBytes budget is calibrated against.
 	PeakResidentBytes int64
 	// Evictions counts subtree evictions; EvictedNodes the node profiles
-	// they reclaimed (slices and rope pages).
+	// they reclaimed (slices and rope slots). A node counts only if it
+	// held something: a segment slice, or rope slots, which only nodes
+	// whose canonicalization concatenated segments own (leaf ids live in
+	// rope handles).
 	Evictions    int64
 	EvictedNodes int64
 	// SlicedProfiles counts consumed segment slices dropped by the
-	// budget's slice tier (rope pages retained).
+	// budget's slice tier (rope slots retained).
 	SlicedProfiles int64
 	// Rematerializations counts recomputations of clean-but-reclaimed
 	// profiles — the time cost paid for the memory bound.
 	Rematerializations int64
 	// StreamedNodes counts node profiles consumed by releasing schedule
-	// emissions (EmitScheduleRelease): their slices and rope pages were
-	// handed back to the arena as the traversal streamed out.
+	// emissions (EmitScheduleRelease): their slices and rope slots were
+	// handed back to the arena as the traversal streamed out. As with
+	// EvictedNodes, a sliceless node that owns no concatenation held
+	// nothing and is not counted (the emission's root always is), so the
+	// count can fall well below the subtree's size for the same work.
 	StreamedNodes int64
 }
 
@@ -217,7 +231,16 @@ type cacheFrame struct {
 // representation of canonicalization.
 type cumSeg struct {
 	hill, valley int64
-	nodes        *nodeRope
+	nodes        rope
+}
+
+// newCacheScratch returns a scratch whose arena allocates from store and
+// pools segment slices up to poolCap bytes (0 = unlimited).
+func newCacheScratch(store *ropeStore, poolCap int64) *cacheScratch {
+	sc := &cacheScratch{}
+	sc.arena.store = store
+	sc.arena.poolCap = poolCap
+	return sc
 }
 
 // NewProfileCache creates an empty, unbounded cache over t; nothing is
@@ -229,8 +252,7 @@ func NewProfileCache(t TreeLike) *ProfileCache {
 // NewProfileCacheOpts creates an empty cache over t with the given
 // residency policy.
 func NewProfileCacheOpts(t TreeLike, opts CacheOptions) *ProfileCache {
-	c := &ProfileCache{t: t, opts: opts, sc: &cacheScratch{}}
-	c.sc.arena.poolCap = opts.MaxResidentBytes
+	c := &ProfileCache{t: t, opts: opts, sc: newCacheScratch(&ropeStore{}, opts.MaxResidentBytes)}
 	c.Grow()
 	return c
 }
@@ -273,16 +295,22 @@ func (c *ProfileCache) availNode(v int) bool { return c.valid[v] && c.prof[v] !=
 
 // Grow extends the cache to the tree's current node count. Call it after
 // nodes have been appended to the underlying tree; the new nodes start
-// dirty.
+// dirty. It panics once the tree has more than math.MaxInt32 nodes (the
+// limit tree.New enforces), past which a node id no longer fits a leaf rope
+// handle.
 func (c *ProfileCache) Grow() {
-	k := c.t.N() - len(c.valid)
+	n := c.t.N()
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("liu: profile cache over %d nodes, limit %d", n, math.MaxInt32))
+	}
+	k := n - len(c.valid)
 	if k <= 0 {
 		return
 	}
 	c.prof = append(c.prof, make([]profile, k)...)
 	c.peak = append(c.peak, make([]int64, k)...)
 	c.valid = append(c.valid, make([]bool, k)...)
-	c.owned = append(c.owned, make([]*nodeRope, k)...)
+	c.owned = append(c.owned, make([]rope, k)...)
 	c.ownedCount = append(c.ownedCount, make([]int32, k)...)
 	c.pinned = append(c.pinned, make([]int32, k)...)
 	c.inSliceQ = append(c.inSliceQ, make([]bool, k)...)
@@ -298,7 +326,7 @@ func (c *ProfileCache) Pin(v int) { c.pinned[v]++; c.pinCount++ }
 func (c *ProfileCache) Unpin(v int) { c.pinned[v]--; c.pinCount-- }
 
 // Invalidate marks v and every ancestor of v dirty, releasing their cached
-// profiles and rope nodes back to the arena. Call it with the topmost node
+// profiles and rope slots back to the arena. Call it with the topmost node
 // whose subtree changed (for an expansion of node i into i → i2 → i3, that
 // is i3: i's own subtree is untouched and stays cached). Freeing the whole
 // root path at once is what makes eager reclamation safe: a rope owned by
@@ -307,7 +335,7 @@ func (c *ProfileCache) Unpin(v int) { c.pinned[v]--; c.pinCount-- }
 //
 // Under a residency policy this is also the subtree-eviction point: once
 // the path is dirty, the clean subtrees hanging off it are exactly the
-// nodes with no profile-holding ancestor, so their rope pages can be freed
+// nodes with no profile-holding ancestor, so their rope slots can be freed
 // with no further checks. While the footprint exceeds the budget (or a
 // hanging subtree's profile trips the segment cap), those subtrees are
 // evicted deepest-first.
@@ -332,11 +360,11 @@ func (c *ProfileCache) Invalidate(v int) {
 			a.freeProfile(c.prof[v])
 			c.prof[v] = nil
 		}
-		if c.owned[v] != nil {
+		if c.owned[v] != 0 {
 			freed += int64(c.ownedCount[v]) * ropeBytes
 			c.ownedCount[v] = 0
 			a.freeOwned(c.owned[v])
-			c.owned[v] = nil
+			c.owned[v] = 0
 		}
 		if freed != 0 {
 			c.residentBytes.Add(-freed)
@@ -352,7 +380,7 @@ func (c *ProfileCache) Invalidate(v int) {
 // path, deepest-first, while the budget is exceeded; subtrees whose root
 // profile trips the segment cap are evicted unconditionally. Safe exactly
 // here: every candidate's ancestors have just been dirtied, so no resident
-// profile references the candidates' rope pages.
+// profile references the candidates' rope slots.
 func (c *ProfileCache) evictHanging(cand []int, sc *cacheScratch) {
 	for _, v := range cand {
 		if !c.valid[v] || c.pinned[v] != 0 {
@@ -493,29 +521,23 @@ func (c *ProfileCache) ResetCancel() { c.canceled.Store(false) }
 // recompute rebuilds v's profile from its children's (all resident)
 // profiles: exactly the per-node step of minMemProfileWithPeaks, with every
 // surviving allocation drawn from the scratch's arena.
+//
+// A sliceless node (clean, rope slots live) is rebuilt on its own slots.
+// Its children still hold the rope handles its chain was built from — a
+// child whose ropes changed would have dirtied v, and a sliceless child is
+// itself rebuilt on its own slots first — so the canonicalization repeats
+// the chain's concatenations one for one, and cat replays the chain
+// (checking each slot) instead of allocating. The rebuilt profile is
+// therefore bit-identical to the one resident ancestors already reference,
+// and nothing is freed or allocated on the rope side.
 func (c *ProfileCache) recompute(v int, sc *cacheScratch) {
 	if c.valid[v] {
 		// v was clean but reclaimed: this recomputation is the deferred
 		// cost of an earlier eviction.
 		c.remats.Add(1)
 	}
-	if c.owned[v] != nil {
-		// A sliceless node being rebuilt. Its old rope pages may be pooled
-		// for reuse only when no ancestor profile references them, i.e.
-		// when the parent is dirty (dirty-up-closure then covers the whole
-		// path) — the ordinary in-engine case, where this recompute is one
-		// step of an ensure over an invalidated region. When the node is
-		// queried directly while its ancestors are still resident (a
-		// public AppendSchedule on an interior node), the old pages stay
-		// referenced from above: drop the ownership record and let the
-		// garbage collector reclaim them once the ancestors do.
-		c.residentBytes.Add(-int64(c.ownedCount[v]) * ropeBytes)
-		c.ownedCount[v] = 0
-		if p := c.t.Parent(v); p == tree.None || !c.valid[p] {
-			sc.arena.freeOwned(c.owned[v])
-		}
-		c.owned[v] = nil
-	}
+	a := &sc.arena
+	a.replaying, a.cursor = c.owned[v] != 0, c.owned[v]
 	children := c.t.Children(v)
 	var merged profile
 	if len(children) > 0 {
@@ -538,7 +560,7 @@ func (c *ProfileCache) recompute(v int, sc *cacheScratch) {
 	if w > wbar {
 		wbar = w
 	}
-	merged = append(merged, segment{hill: wbar - cs, valley: w - cs, nodes: sc.arena.leafRope(v)})
+	merged = append(merged, segment{hill: wbar - cs, valley: w - cs, nodes: leafRope(v)})
 	canon := sc.canonicalize(merged)
 	var r, pk int64
 	for _, s := range canon {
@@ -547,13 +569,22 @@ func (c *ProfileCache) recompute(v int, sc *cacheScratch) {
 		}
 		r += s.valley
 	}
-	chain, nropes := sc.arena.takeOwned()
+	bytes := int64(cap(canon)) * segmentBytes
+	if a.replaying {
+		if a.cursor != 0 {
+			panic("liu: sliceless rebuild made fewer concatenations than its chain holds")
+		}
+		a.replaying = false
+	} else {
+		chain, nropes := a.takeOwned()
+		c.owned[v] = chain
+		c.ownedCount[v] = nropes
+		bytes += int64(nropes) * ropeBytes
+	}
 	c.prof[v] = canon
-	c.owned[v] = chain
-	c.ownedCount[v] = nropes
 	c.peak[v] = pk
 	c.valid[v] = true
-	c.addResident(int64(cap(canon))*segmentBytes + int64(nropes)*ropeBytes)
+	c.addResident(bytes)
 }
 
 // addResident adjusts the resident-byte counter and maintains its
@@ -623,7 +654,7 @@ func (c *ProfileCache) slicePressure(sc *cacheScratch) {
 	sc.evictStack = requeue[:0]
 }
 
-// evictSlice reclaims v's segment slice (rope pages stay: they are shared
+// evictSlice reclaims v's segment slice (rope slots stay: they are shared
 // into resident ancestors' profiles), leaving v sliceless.
 func (c *ProfileCache) evictSlice(v int, sc *cacheScratch) {
 	c.residentBytes.Add(-int64(cap(c.prof[v])) * segmentBytes)
@@ -633,7 +664,7 @@ func (c *ProfileCache) evictSlice(v int, sc *cacheScratch) {
 }
 
 // evictSubtree reclaims everything v's whole clean subtree holds — segment
-// slices and rope chains — returning the pages to the evicting scratch's
+// slices and rope chains — returning them to the evicting scratch's
 // arena. Peaks and validity are untouched: the subtree stays clean, only
 // its memory is gone until rematerialized. Only Invalidate/NoteCandidate
 // call this, on subtrees whose ancestors were all just dirtied; pinned
@@ -656,11 +687,11 @@ func (c *ProfileCache) evictSubtree(v int, sc *cacheScratch) {
 			a.freeProfile(c.prof[x])
 			c.prof[x] = nil
 		}
-		if c.owned[x] != nil {
+		if c.owned[x] != 0 {
 			freed += int64(c.ownedCount[x]) * ropeBytes
 			c.ownedCount[x] = 0
 			a.freeOwned(c.owned[x])
-			c.owned[x] = nil
+			c.owned[x] = 0
 		}
 		if freed != 0 {
 			c.residentBytes.Add(-freed)
@@ -678,7 +709,7 @@ func (c *ProfileCache) evictSubtree(v int, sc *cacheScratch) {
 // canonicalize rewrites a profile so that cumulative hills strictly
 // decrease and cumulative valleys strictly increase, merging offending
 // consecutive segments; the memory profile it denotes is unchanged. The
-// output profile and the concatenation rope nodes come from the scratch's
+// output profile and the concatenation rope slots come from the scratch's
 // arena (MinMem uses a transient scratch; the profile cache recycles its
 // primary one across recomputations).
 func (sc *cacheScratch) canonicalize(p profile) profile {
@@ -717,10 +748,11 @@ func (sc *cacheScratch) canonicalize(p profile) profile {
 // the residual top of the region is finished sequentially. The cached
 // values are identical to a sequential ensure — only the wall-clock
 // changes — and the sharding is race-clean because workers write disjoint
-// index ranges of the cache arrays and never resize them. Under a
-// residency policy every worker drops consumed slices within its own shard
-// into its own arena; surviving queue entries are handed to the primary
-// scratch at the join.
+// index ranges of the cache arrays and never resize them, and allocate rope
+// slots from disjoint pages of the shared store. Under a residency policy
+// every worker drops consumed slices within its own shard into its own
+// arena; at the join the primary arena absorbs every worker's free rope
+// slots and the surviving queue entries pass to the primary scratch.
 //
 // A panic inside a warmer (an injected faultinject.ArenaAlloc failure, or
 // a genuine bug) is re-raised on the calling goroutine at the join, after
@@ -749,8 +781,7 @@ func (c *ProfileCache) EnsureParallel(v, workers int) {
 	var firstPanic atomic.Pointer[any]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		sc := &cacheScratch{}
-		sc.arena.poolCap = c.sc.arena.poolCap
+		sc := newCacheScratch(c.sc.arena.store, c.sc.arena.poolCap)
 		scratches[w] = sc
 		wg.Add(1)
 		go func() {
@@ -775,6 +806,7 @@ func (c *ProfileCache) EnsureParallel(v, workers int) {
 	wg.Wait()
 	for _, sc := range scratches {
 		c.sc.sliceQ = append(c.sc.sliceQ, sc.sliceQ[sc.sliceHead:]...)
+		c.sc.arena.absorb(&sc.arena)
 	}
 	if p := firstPanic.Load(); p != nil {
 		if c.opts.Done == nil {
@@ -792,10 +824,16 @@ func (c *ProfileCache) EnsureParallel(v, workers int) {
 // machine: the resident-byte counter must equal the bytes recomputed from
 // the per-node records, pins must be balanced and non-negative, no dirty
 // node may hold a profile, and the dirty-up-closure must hold (a clean
-// node's children are clean). The cancellation and fault-injection
-// harnesses call it after interrupting the cache mid-work to prove the
-// interruption left it sound. It returns the first violation found.
+// node's children are clean). It also audits the rope store: every
+// ownership chain must be as long as its byte accounting claims, and no
+// slot may sit on two chains or on both a chain and the primary free
+// list. The cancellation and fault-injection harnesses call it after
+// interrupting the cache mid-work to prove the interruption left it sound.
+// It returns the first violation found.
 func (c *ProfileCache) CheckInvariants() error {
+	if err := c.checkStore(); err != nil {
+		return err
+	}
 	var bytes, pins int64
 	for v := 0; v < c.t.N() && v < len(c.valid); v++ {
 		if c.prof[v] != nil {
@@ -824,6 +862,46 @@ func (c *ProfileCache) CheckInvariants() error {
 		return fmt.Errorf("liu: pin counter %d, per-node pins sum to %d", c.pinCount, pins)
 	}
 	return nil
+}
+
+// checkStore walks every ownership chain, the primary arena's pending
+// chain and its free list, marking each slot; a slot met twice is on two
+// lists (or a list is cyclic).
+func (c *ProfileCache) checkStore() error {
+	a := &c.sc.arena
+	seen := make([]bool, a.store.slots())
+	// walk marks the list at head; v is the owning node, or -1 for the
+	// arena's own lists.
+	walk := func(head rope, v int) (int32, error) {
+		var n int32
+		for r := head; r != 0; r = a.store.node(r).next {
+			if r < 0 || int(r) >= len(seen) {
+				return n, fmt.Errorf("liu: rope list of node %d holds invalid handle %d", v, r)
+			}
+			if seen[r] {
+				return n, fmt.Errorf("liu: rope slot %d (list of node %d) is on two lists or a cycle", r, v)
+			}
+			seen[r] = true
+			n++
+		}
+		return n, nil
+	}
+	for v := 0; v < c.t.N() && v < len(c.owned); v++ {
+		n, err := walk(c.owned[v], v)
+		if err != nil {
+			return err
+		}
+		if n != c.ownedCount[v] {
+			return fmt.Errorf("liu: node %d owns %d rope slots, accounts for %d", v, n, c.ownedCount[v])
+		}
+	}
+	if n, err := walk(a.owned, -1); err != nil {
+		return err
+	} else if n != a.allocs {
+		return fmt.Errorf("liu: pending chain holds %d rope slots, arena counts %d", n, a.allocs)
+	}
+	_, err := walk(a.free, -1)
+	return err
 }
 
 // shardRoots picks the roots of the parallel warm: maximal dirty subtrees

@@ -10,7 +10,7 @@ package liu
 //     leaves behind (AppendSchedule itself is a thin collector over the
 //     stream).
 //   - EmitScheduleRelease / ScheduleIterRelease additionally return every
-//     rope page to the arena the moment the walk has consumed it, and drop
+//     rope slot to the arena the moment the walk has consumed it, and drop
 //     the subtree's profile slices up front, leaving the whole subtree in
 //     the clean-but-evicted state of DESIGN.md §2.6 (peaks stay served;
 //     profiles rematerialize on demand). This is the final-emission mode:
@@ -19,7 +19,7 @@ package liu
 //     until one flattened slice has been built.
 //
 // Releasing is sound only at the same moment subtree eviction is sound: no
-// profile outside v's subtree may reference the subtree's rope pages. That
+// profile outside v's subtree may reference the subtree's rope slots. That
 // is guaranteed exactly when every ancestor of v is dirty (then their
 // slices and rope chains were freed by the Invalidate that dirtied them) —
 // trivially true at the root — and when no Pin is outstanding anywhere in
@@ -31,7 +31,7 @@ package liu
 // A non-releasing iterator must be drained (or Closed) before the next
 // mutation of the tree or cache, like any AppendSchedule result that
 // aliases live ropes. A releasing iterator owns everything it walks — the
-// detach up front severs the pages from the cache — so cache queries and
+// detach up front severs the slots from the cache — so cache queries and
 // even invalidations between Next calls are safe; they simply rematerialize
 // what the emission released.
 
@@ -51,7 +51,7 @@ type ScheduleIter struct {
 	v         int
 	segs      profile
 	segIdx    int
-	stack     []*nodeRope
+	stack     []rope
 	buf       []int
 	releasing bool
 	pinned    bool
@@ -66,7 +66,7 @@ func (c *ProfileCache) ScheduleIter(v int) *ScheduleIter {
 	return c.scheduleIter(v, false)
 }
 
-// ScheduleIterRelease is ScheduleIter in releasing mode: every rope page is
+// ScheduleIterRelease is ScheduleIter in releasing mode: every rope slot is
 // returned to the arena as soon as the walk has consumed it and the
 // subtree's profile slices are dropped up front, leaving v's subtree
 // clean-but-evicted (peaks still served, profiles rematerialized on
@@ -104,7 +104,7 @@ func (c *ProfileCache) scheduleIter(v int, release bool) *ScheduleIter {
 // ancestorsDirty reports that every proper ancestor of v is dirty — the
 // releasing precondition: dirty ancestors hold neither profile slices nor
 // rope chains (Invalidate freed both), so nothing outside v's subtree can
-// reference the subtree's rope pages.
+// reference the subtree's rope slots.
 func (c *ProfileCache) ancestorsDirty(v int) bool {
 	for p := c.t.Parent(v); p >= 0; p = c.t.Parent(p) {
 		if c.valid[p] {
@@ -117,8 +117,9 @@ func (c *ProfileCache) ancestorsDirty(v int) bool {
 // detachSubtree severs v's subtree from the residency machinery ahead of a
 // releasing emission: every profile slice except v's own is freed to the
 // arena and every rope-ownership chain is cleared *without* freeing its
-// pages — the emission walk owns them now and will release each page as it
-// is consumed. Nodes stay valid with their peaks, i.e. in the evicted
+// slots — the emission walk owns them now and will release each slot as it
+// is consumed (every slot a chain of the subtree holds is reachable from
+// v's profile). Nodes stay valid with their peaks, i.e. in the evicted
 // state of DESIGN.md §2.6.
 func (c *ProfileCache) detachSubtree(v int) {
 	sc := c.sc
@@ -136,10 +137,10 @@ func (c *ProfileCache) detachSubtree(v int) {
 			sc.arena.freeProfile(c.prof[x])
 			c.prof[x] = nil
 		}
-		if c.owned[x] != nil {
+		if c.owned[x] != 0 {
 			freed += int64(c.ownedCount[x]) * ropeBytes
 			c.ownedCount[x] = 0
-			c.owned[x] = nil // pages are released one by one during the walk
+			c.owned[x] = 0 // slots are released one by one during the walk
 		}
 		if freed != 0 || x == v {
 			// v's slice is detached by the caller, so the root counts even
@@ -169,31 +170,30 @@ func (it *ScheduleIter) Next() (seg []int, ok bool) {
 	a := &it.c.sc.arena
 	st := it.stack
 	for len(buf) < emitChunkIDs {
+		var cur rope
 		if len(st) == 0 {
 			if it.segIdx >= len(it.segs) {
 				break
 			}
-			st = append(st, it.segs[it.segIdx].nodes)
+			cur = it.segs[it.segIdx].nodes
 			it.segIdx++
-			continue
+		} else {
+			cur = st[len(st)-1]
+			st = st[:len(st)-1]
 		}
-		cur := st[len(st)-1]
-		st = st[:len(st)-1]
-		if cur == nil {
-			continue
-		}
-		if cur.leaf != nil {
-			buf = append(buf, cur.leaf...)
+		// Descend to the leftmost leaf, stacking the right halves.
+		for cur > 0 {
+			n := a.store.node(cur)
+			st = append(st, n.right)
+			next := n.left
 			if it.releasing {
 				a.release(cur)
 			}
-			continue
+			cur = next
 		}
-		l, r := cur.left, cur.right
-		if it.releasing {
-			a.release(cur)
+		if cur < 0 {
+			buf = append(buf, int(^cur))
 		}
-		st = append(st, r, l)
 	}
 	it.stack, it.buf = st, buf
 	if len(buf) == 0 {
@@ -204,10 +204,10 @@ func (it *ScheduleIter) Next() (seg []int, ok bool) {
 }
 
 // Close releases the iterator's resources before exhaustion: the pin is
-// dropped (non-releasing mode), or the not-yet-walked rope pages are left
-// for the garbage collector (releasing mode — the detach already severed
-// them from the cache, so abandoning them is safe, it merely forgoes
-// pooling). Close after exhaustion is a no-op.
+// dropped (non-releasing mode), or the not-yet-walked rope slots are
+// abandoned (releasing mode — the detach already severed them from the
+// cache, so abandoning them is safe; they stay unused in the cache's rope
+// store until the cache is dropped). Close after exhaustion is a no-op.
 func (it *ScheduleIter) Close() {
 	if !it.done {
 		it.finish()
@@ -225,8 +225,7 @@ func (it *ScheduleIter) finish() {
 	}
 	if it.releasing {
 		// The profile slice was detached at construction; pool it now that
-		// no segment refers to unvisited ropes (early Close simply drops
-		// the remaining pages for the GC along with the zeroed slice).
+		// the walk is over (early Close abandons the unvisited slots).
 		it.c.sc.arena.freeProfile(it.segs)
 	}
 	c := it.c
@@ -261,7 +260,7 @@ func (c *ProfileCache) EmitSchedule(v int, yield func(seg []int) bool) bool {
 	return emit(c.ScheduleIter(v), yield)
 }
 
-// EmitScheduleRelease is EmitSchedule in releasing mode: rope pages return
+// EmitScheduleRelease is EmitSchedule in releasing mode: rope slots return
 // to the arena as the walk consumes them and the subtree is left
 // clean-but-evicted — the final-emission mode that removes the Θ(n) rope
 // floor (see ScheduleIterRelease for when releasing engages and how it

@@ -31,38 +31,6 @@ import (
 	"repro/internal/tree"
 )
 
-// nodeRope is an immutable sequence of node ids with O(1) concatenation;
-// canonicalization merges segments constantly on chain-like trees, and
-// copying slices there would cost Θ(n²) overall. buf and nextOwned serve
-// the pooled allocation path of ProfileCache (see arena.go): buf backs
-// single-id leaves without a separate slice, nextOwned chains a node into
-// its owner's ownership list while live and into the free list when freed.
-type nodeRope struct {
-	left, right *nodeRope
-	leaf        []int
-	buf         [1]int
-	nextOwned   *nodeRope
-}
-
-// appendTo flattens the rope into dst (iteratively: ropes from long chains
-// are deep).
-func (r *nodeRope) appendTo(dst []int) []int {
-	stack := []*nodeRope{r}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == nil {
-			continue
-		}
-		if cur.leaf != nil {
-			dst = append(dst, cur.leaf...)
-			continue
-		}
-		stack = append(stack, cur.right, cur.left)
-	}
-	return dst
-}
-
 // segment is one hill–valley segment of a traversal profile. hill and
 // valley are incremental with respect to the previous valley of the same
 // profile: if the profile's retained memory before the segment is r, the
@@ -71,7 +39,7 @@ func (r *nodeRope) appendTo(dst []int) []int {
 type segment struct {
 	hill   int64
 	valley int64
-	nodes  *nodeRope
+	nodes  rope
 }
 
 // profile is a canonical traversal profile: incremental segments whose
@@ -83,7 +51,7 @@ type profile []segment
 // schedule and its peak memory (the minimum over all topological
 // traversals of the maximum memory in use).
 func MinMem(t *tree.Tree) (tree.Schedule, int64) {
-	prof := minMemProfile(t, t.Root())
+	prof, a := minMemProfile(t, t.Root())
 	sched := make(tree.Schedule, 0, t.N())
 	var peak, r int64
 	for _, s := range prof {
@@ -91,7 +59,7 @@ func MinMem(t *tree.Tree) (tree.Schedule, int64) {
 			peak = h
 		}
 		r += s.valley
-		sched = s.nodes.appendTo(sched)
+		sched = a.appendTo(sched, s.nodes)
 	}
 	return sched, peak
 }
@@ -113,21 +81,23 @@ func AllSubtreePeaks(t *tree.Tree) []int64 {
 }
 
 // minMemProfile computes the canonical optimal profile of the subtree
-// rooted at v. It works on an explicit stack to survive elimination-tree
-// depths far beyond the goroutine recursion limit.
-func minMemProfile(t *tree.Tree, root int) profile {
+// rooted at v, along with the arena whose store backs its ropes. It works
+// on an explicit stack to survive elimination-tree depths far beyond the
+// goroutine recursion limit.
+func minMemProfile(t *tree.Tree, root int) (profile, *profileArena) {
 	return minMemProfileWithPeaks(t, root, nil)
 }
 
 // minMemProfileWithPeaks additionally records every finished subtree's
 // optimal peak into peaks when non-nil.
-func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
+func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) (profile, *profileArena) {
 	// done[v] holds the finished profile of v's subtree until v's parent
-	// consumes it. The scratch (and its arena) is transient: nothing is
-	// ever invalidated here, so the arena only pools this pass's
-	// allocations and is dropped with it.
+	// consumes it. The scratch (and its arena and rope store) is
+	// transient: nothing is ever invalidated here, so the arena only
+	// recycles the children's slices the merges have copied, and is
+	// dropped with the pass.
 	done := make([]profile, t.N())
-	sc := &cacheScratch{}
+	sc := newCacheScratch(&ropeStore{}, 0)
 	type frame struct {
 		node    int
 		visited bool
@@ -153,6 +123,11 @@ func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
 				done[c] = nil
 			}
 			merged = sc.merge.merge(parts)
+			// The merge copied the children's segments: their slices
+			// go back to the arena for the canonicalizations ahead.
+			for _, p := range parts {
+				sc.arena.freeProfile(p)
+			}
 			sc.parts = parts[:0]
 		} else {
 			sc.merge.ensure(1)
@@ -166,7 +141,7 @@ func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
 		merged = append(merged, segment{
 			hill:   t.WBar(v) - cs,
 			valley: t.Weight(v) - cs,
-			nodes:  sc.arena.leafRope(v),
+			nodes:  leafRope(v),
 		})
 		canon := sc.canonicalize(merged)
 		if peaks != nil {
@@ -181,7 +156,7 @@ func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) profile {
 		}
 		done[v] = canon
 	}
-	return done[root]
+	return done[root], &sc.arena
 }
 
 // mergeScratch holds the reusable buffers of the profile merge. The merge

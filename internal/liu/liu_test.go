@@ -248,7 +248,7 @@ func TestCanonicalProfileInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
 		tr := randomTree(1+rng.Intn(40), rng)
-		prof := minMemProfile(tr, tr.Root())
+		prof, _ := minMemProfile(tr, tr.Root())
 		var r, prevHill, prevValley int64
 		prevHill = 1 << 62
 		prevValley = -1

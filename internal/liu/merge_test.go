@@ -39,9 +39,9 @@ func randomCanonicalPart(rng *rand.Rand, tag int) profile {
 	d := int64(20 + rng.Intn(10))
 	for i := 0; i < n; i++ {
 		v := rng.Int63n(5)
-		// A segment's identity is its rope pointer (buf carries a debug
+		// A segment's identity is its rope handle (a leaf carrying a debug
 		// tag); equal-key segments from different parts stay telling.
-		p = append(p, segment{hill: d + v, valley: v, nodes: &nodeRope{buf: [1]int{tag*100 + i}}})
+		p = append(p, segment{hill: d + v, valley: v, nodes: leafRope(tag*100 + i)})
 		d -= 1 + rng.Int63n(4) // strictly decreasing hill − valley
 	}
 	return p
@@ -49,7 +49,7 @@ func randomCanonicalPart(rng *rand.Rand, tag int) profile {
 
 // TestMergeMatchesStableSortReference: the run-merge must reproduce the
 // frozen stable-sort merge exactly — same segment values in the same
-// order, including the identity (rope pointer) of equal-key segments.
+// order, including the identity (rope handle) of equal-key segments.
 func TestMergeMatchesStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var ms mergeScratch
@@ -65,7 +65,7 @@ func TestMergeMatchesStableSortReference(t *testing.T) {
 		}
 		for i := range want {
 			if got[i].hill != want[i].hill || got[i].valley != want[i].valley || got[i].nodes != want[i].nodes {
-				t.Fatalf("trial %d: segment %d differs: got {%d %d %p}, want {%d %d %p}",
+				t.Fatalf("trial %d: segment %d differs: got {%d %d %d}, want {%d %d %d}",
 					trial, i,
 					got[i].hill, got[i].valley, got[i].nodes,
 					want[i].hill, want[i].valley, want[i].nodes)

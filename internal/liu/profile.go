@@ -21,14 +21,14 @@ type SegmentInfo struct {
 // is the natural input for higher-level analyses (e.g. choosing switching
 // points when embedding the tree into a larger computation).
 func MemProfile(t *tree.Tree) []SegmentInfo {
-	prof := minMemProfile(t, t.Root())
+	prof, a := minMemProfile(t, t.Root())
 	out := make([]SegmentInfo, len(prof))
 	var r int64
 	for i, s := range prof {
 		out[i] = SegmentInfo{
 			Hill:   r + s.hill,
 			Valley: r + s.valley,
-			Nodes:  s.nodes.appendTo(nil),
+			Nodes:  a.appendTo(nil, s.nodes),
 		}
 		r = out[i].Valley
 	}

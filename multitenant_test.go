@@ -94,8 +94,9 @@ func TestConcurrentLeaseBudgetAccounting(t *testing.T) {
 	wg.Wait()
 
 	// Rope floor allowance, as in the expand budget tests: pinned rope
-	// structure that a budget cannot evict, ≈ 2.5 × 56 bytes per node.
-	ropeFloor := int64(nodes) * 56 * 5 / 2
+	// structure that a budget cannot evict, at most 2.5 × 12 bytes (one
+	// rope slot) per node.
+	ropeFloor := int64(nodes) * 12 * 5 / 2
 	for i, g := range got {
 		if g.err != nil {
 			t.Fatalf("tenant %d: %v", i, g.err)
