@@ -8,7 +8,9 @@ GO ?= go
 # the byte-level executor with the memory and the file spill store.
 # ScheduleLiveDataset runs the paper's algorithms with the SYNTH dataset
 # live and reports the live heap objects it leaves (DESIGN.md §2.15).
-BENCH ?= RecExpand|FiFSimulator|OptMinMem3000|PostOrderMinIO3000|ScheduleLiveDataset|ScheddLoad|OutOfCoreExecute
+# WarmStaircase200k times the sharded profile warm alone, the one row
+# whose warm runs more than one worker (DESIGN.md §2.5).
+BENCH ?= RecExpand|FiFSimulator|OptMinMem3000|PostOrderMinIO3000|ScheduleLiveDataset|ScheddLoad|OutOfCoreExecute|WarmStaircase200k
 # Trajectory index: bench-json writes BENCH_$(N).json at the repo root.
 N ?= 1
 
@@ -79,7 +81,7 @@ bench-json:
 # One-iteration smoke for CI: every benchmark must at least run (the
 # RecExpand pattern also covers the RecExpandParallel warm-shard sweep).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute|ScheduleLiveDataset|PostOrderMinIO3000|OptMinMem3000' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'RecExpand|OutOfCoreExecute|ScheduleLiveDataset|PostOrderMinIO3000|OptMinMem3000|WarmStaircase200k' -benchtime 1x .
 
 # The repository benchmark's own module (perfbench/, BENCHMARK.json): vet
 # it and run every workload in --smoke mode. The root module's build and

@@ -587,6 +587,30 @@ func benchRecExpandEmit(b *testing.B, stream bool, ctx context.Context) {
 func BenchmarkRecExpandStream200k(b *testing.B)       { benchRecExpandEmit(b, true, nil) }
 func BenchmarkRecExpandMaterialized200k(b *testing.B) { benchRecExpandEmit(b, false, nil) }
 
+// BenchmarkWarmStaircase200k times the initial profile warm alone on the
+// 200k staircase, sharded over GOMAXPROCS workers under the streamed
+// pair's 40 MiB budget: the out-of-core regime, where every worker evicts
+// consumed slices within its shard and batches its resident-byte
+// accounting (the staircase rows above all warm with one worker). Each
+// iteration warms a fresh mutable tree; resident_MiB is the cache's
+// reported high-water mark and sliced the slices the budget dropped.
+func BenchmarkWarmStaircase200k(b *testing.B) {
+	in := experiments.Huge(200000, 1)
+	workers := runtime.GOMAXPROCS(0)
+	var st liu.CacheStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := expand.NewMutable(in.Tree)
+		m.EnableProfilesOpts(liu.CacheOptions{MaxResidentBytes: 40 << 20})
+		b.StartTimer()
+		m.InitialPeaks(workers)
+		st = m.ProfileStats()
+	}
+	b.ReportMetric(float64(st.PeakResidentBytes)/(1<<20), "resident_MiB")
+	b.ReportMetric(float64(st.SlicedProfiles), "sliced")
+}
+
 // BenchmarkRecExpandStreamCancelable200k is BenchmarkRecExpandStream200k
 // with a live (never-fired) cancellation context, measuring what arming
 // cancellation costs a run that is not cancelled. A plain

@@ -49,7 +49,7 @@ type ckptRunner struct {
 	path     string
 	interval int
 	fp       ckpt.Fingerprint
-	postIdx  []int32 // original id -> natural-postorder index
+	n        int // original node count, the cursor of a finished walk
 
 	exps     []ckpt.Exp
 	cursor   int
@@ -81,16 +81,11 @@ func newCkptRunner(t *tree.Tree, M int64, opts Options, globalCap int) *ckptRunn
 	if interval <= 0 {
 		interval = defaultCkptInterval
 	}
-	post := t.NaturalPostorder()
-	postIdx := make([]int32, t.N())
-	for i, v := range post {
-		postIdx[v] = int32(i)
-	}
 	return &ckptRunner{
 		path:     opts.Checkpoint.Path,
 		interval: interval,
 		fp:       ckptFingerprint(t, M, opts, globalCap),
-		postIdx:  postIdx,
+		n:        t.N(),
 	}
 }
 
@@ -113,11 +108,12 @@ func (ck *ckptRunner) noteExp(victim int, amount int64) {
 	ck.pending++
 }
 
-// commitLoop marks a quiescent point inside recursion node r's expansion
-// loop: iters iterations are complete there and every earlier decision is
-// in the log. Writes a checkpoint when the interval is due.
-func (ck *ckptRunner) commitLoop(r, iters int) error {
-	ck.cursor = int(ck.postIdx[r])
+// commitLoop marks a quiescent point inside the expansion loop of the
+// recursion node at natural-postorder index idx: iters iterations are
+// complete there and every earlier decision is in the log. Writes a
+// checkpoint when the interval is due.
+func (ck *ckptRunner) commitLoop(idx, iters int) error {
+	ck.cursor = idx
 	ck.curIters = iters
 	if ck.pending >= ck.interval {
 		return ck.write()
@@ -132,7 +128,7 @@ func (ck *ckptRunner) commitLoop(r, iters int) error {
 func (ck *ckptRunner) finishExpand(capHit bool) error {
 	ck.phase = ckpt.PhaseFinish
 	ck.capHit = capHit
-	ck.cursor = len(ck.postIdx)
+	ck.cursor = ck.n
 	ck.curIters = 0
 	return ck.write()
 }

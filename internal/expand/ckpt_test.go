@@ -80,6 +80,69 @@ func captureCkpts(t *testing.T, c ckptCase, workers int, dir string) (*Result, [
 	return res, snaps
 }
 
+// TestCkptCursorIsPostorderIndex pins every cursor a checkpoint-armed run
+// commits to the natural-postorder index of the recursion node whose loop
+// made the logged expansion. At interval 1 every expansion is written, so
+// for each loop commit the node at the cursor must be a recursion node
+// (inner, initial subtree peak above M) and an ancestor of the victim just
+// logged, the cursors must walk the postorder forward, and CurIters must
+// count the node's expansions from 1. The finished walk commits the node
+// count.
+func TestCkptCursorIsPostorderIndex(t *testing.T) {
+	for i, c := range ckptCorpus(t, 16, 29) {
+		_, snaps := captureCkpts(t, c, 1, t.TempDir())
+		states := make([]*ckpt.State, len(snaps))
+		for k, data := range snaps {
+			st, err := ckpt.Decode(data)
+			if err != nil {
+				t.Fatalf("case %d snapshot %d: %v", i, k, err)
+			}
+			states[k] = st
+		}
+		final := states[len(states)-1]
+		if final.Phase != ckpt.PhaseFinish || final.Cursor != c.tr.N() {
+			t.Fatalf("case %d: last write has phase %v cursor %d, want the finish at %d",
+				i, final.Phase, final.Cursor, c.tr.N())
+		}
+		m := NewMutable(c.tr)
+		for _, e := range final.Exps {
+			if _, _, err := m.Expand(e.Victim, e.Amount); err != nil {
+				t.Fatalf("case %d: replaying the log: %v", i, err)
+			}
+		}
+		post := c.tr.NaturalPostorder()
+		peaks := liu.AllSubtreePeaks(c.tr)
+		cursor, iters := 0, 0
+		for k, st := range states[:len(states)-1] {
+			if st.Cursor < 0 || st.Cursor >= len(post) {
+				t.Fatalf("case %d write %d: loop cursor %d outside the postorder", i, k, st.Cursor)
+			}
+			r := post[st.Cursor]
+			if c.tr.IsLeaf(r) || peaks[r] <= c.M {
+				t.Fatalf("case %d write %d: cursor %d names node %d, not a recursion node", i, k, st.Cursor, r)
+			}
+			v := st.Exps[len(st.Exps)-1].Victim
+			for v != tree.None && v != r {
+				v = m.Parent(v)
+			}
+			if v != r {
+				t.Fatalf("case %d write %d: node %d at cursor %d is no ancestor of the victim", i, k, r, st.Cursor)
+			}
+			switch {
+			case st.Cursor == cursor && k > 0:
+				iters++
+			case st.Cursor > cursor || k == 0:
+				cursor, iters = st.Cursor, 1
+			default:
+				t.Fatalf("case %d write %d: cursor moved back from %d to %d", i, k, cursor, st.Cursor)
+			}
+			if st.CurIters != iters {
+				t.Fatalf("case %d write %d: CurIters %d, want %d", i, k, st.CurIters, iters)
+			}
+		}
+	}
+}
+
 // TestCkptKillAnywhereResume is the tentpole's acceptance grid, engine
 // level: for every instance of the corpus, run checkpoint-armed at
 // interval 1, snapshot the checkpoint file after every durable write, and

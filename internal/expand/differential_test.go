@@ -145,3 +145,47 @@ func TestSimulatorZeroAllocWarm(t *testing.T) {
 		t.Fatalf("warm Simulator.Run allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestSimulatorReservedForRoom: the engine reserves its simulator for the
+// mutable tree's room, so simulating the tree while expansions grow it
+// within that room never moves the simulator's arrays, and Reserve keeps
+// the last run's τ readable.
+func TestSimulatorReservedForRoom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := randtree.Synth(2000, rng)
+	schedT, peak := liu.MinMem(tr)
+	M := (tr.MaxWBar() + peak) / 2
+	sim := memsim.NewSimulator()
+	if _, _, err := sim.Run(tr, tr.Root(), M, []int(schedT), memsim.FiF); err != nil {
+		t.Fatal(err)
+	}
+	tau := append([]int64(nil), sim.Tau()...)
+	m := NewMutable(tr)
+	m.EnableProfiles()
+	sim.Reserve(cap(m.parent))
+	if !reflect.DeepEqual(sim.Tau(), tau) {
+		t.Fatal("Reserve changed the last run's τ")
+	}
+	pos := &sim.Positions()[0]
+	var sched []int
+	expansions := 0
+	for v := 0; v < tr.N() && m.N()+2 <= cap(m.parent); v++ {
+		if v == tr.Root() || tr.Weight(v) == 0 {
+			continue
+		}
+		if _, _, err := m.Expand(v, 1); err != nil {
+			t.Fatal(err)
+		}
+		expansions++
+		sched = m.AppendMinMemSchedule(m.Root(), sched[:0])
+		if _, _, err := sim.Run(m, m.Root(), M, sched, memsim.FiF); err != nil {
+			t.Fatal(err)
+		}
+		if &sim.Positions()[0] != pos {
+			t.Fatalf("simulator arrays moved after %d expansions (%d nodes, room %d)", expansions, m.N(), cap(m.parent))
+		}
+	}
+	if expansions < 32 {
+		t.Fatalf("the room held only %d expansions", expansions)
+	}
+}

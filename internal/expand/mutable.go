@@ -52,14 +52,20 @@ type MutableTree struct {
 // the original ids.
 func NewMutable(t *tree.Tree) *MutableTree {
 	n := t.N()
+	// Every expansion appends two nodes. The room holds n/512 + 64
+	// expansions: twice the 998 that RecExpand makes on the 10⁶-node
+	// staircase at Mid, and more than the 48 of the worst SYNTH 3 000 tree
+	// of the paper's dataset. Those land without copying the per-node
+	// arrays; past the room, append grows them.
+	room := n + n/256 + 128
 	m := &MutableTree{
-		parent: t.Parents(),
-		first:  make([]int32, n+1),
-		kids:   make([]int, 0, n-1),
-		weight: t.Weights(),
-		orig:   make([]int, n),
-		role:   make([]Role, n), // RolePrimary
-		rank:   make([]int32, n),
+		parent: make([]int, n, room),
+		first:  make([]int32, n+1, room+1),
+		kids:   make([]int, 0, room),
+		weight: make([]int64, n, room),
+		orig:   make([]int, n, room),
+		role:   make([]Role, n, room), // RolePrimary
+		rank:   make([]int32, n, room),
 		root:   t.Root(),
 	}
 	for i := 0; i < n; i++ {
@@ -69,6 +75,8 @@ func NewMutable(t *tree.Tree) *MutableTree {
 		}
 		m.kids = append(m.kids, cs...)
 		m.first[i+1] = int32(len(m.kids))
+		m.parent[i] = t.Parent(i)
+		m.weight[i] = t.Weight(i)
 		m.orig[i] = i
 	}
 	return m

@@ -286,6 +286,8 @@ func (e *Engine) expandTree(t *tree.Tree, M int64, opts Options) (*MutableTree, 
 		ck = newCkptRunner(t, M, opts, globalCap)
 	}
 	m := NewMutable(t)
+	// The simulator runs on m as it grows: size it for m's room at once.
+	e.sim.Reserve(cap(m.parent))
 	m.EnableProfilesOpts(opts.cacheOptions())
 	capHit := false
 
@@ -343,7 +345,7 @@ func (e *Engine) expandTree(t *tree.Tree, M int64, opts Options) (*MutableTree, 
 			// log already covers, so MaxPerNode budgets stay exact.
 			startIter = resume.CurIters
 		}
-		hit, err := e.expandLoop(m, r, M, opts, globalCap, ck, startIter)
+		hit, err := e.expandLoop(m, r, idx, M, opts, globalCap, ck, startIter)
 		if err != nil {
 			return nil, false, nil, ck.flushOnCancel(err)
 		}
@@ -377,7 +379,8 @@ func warmShards(t *tree.Tree, workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// expandLoop runs the while-loop of Algorithm 2 at recursion node r of m:
+// expandLoop runs the while-loop of Algorithm 2 at recursion node r of m,
+// the node at natural-postorder index idx of the original tree:
 // repeatedly reschedule r's subtree, simulate it under M with FiF eviction
 // and expand one victim, until the subtree fits, the per-node budget is
 // spent or the global cap trips; it reports whether the cap tripped, in
@@ -387,7 +390,7 @@ func warmShards(t *tree.Tree, workers int) int {
 // the disarmed loop stays allocation-free). startIter seeds the iteration
 // counter — a resumed frontier node re-enters its loop where the log left
 // off; every other node starts at 0.
-func (e *Engine) expandLoop(m *MutableTree, r int, M int64, opts Options, globalCap int, ck *ckptRunner, startIter int) (capHit bool, err error) {
+func (e *Engine) expandLoop(m *MutableTree, r, idx int, M int64, opts Options, globalCap int, ck *ckptRunner, startIter int) (capHit bool, err error) {
 	iter := startIter
 	for {
 		// One check per iteration: each iteration reschedules and
@@ -423,7 +426,7 @@ func (e *Engine) expandLoop(m *MutableTree, r int, M int64, opts Options, global
 		iter++
 		if ck != nil {
 			ck.noteExp(victim, amount)
-			if err := ck.commitLoop(r, iter); err != nil {
+			if err := ck.commitLoop(idx, iter); err != nil {
 				return false, err
 			}
 		}

@@ -91,7 +91,7 @@ func (s *ropeStore) newPage() (first, end rope) {
 // profileArena recycles the two kinds of objects a ProfileCache recompute
 // allocates — profile segment slices and rope slots — so that steady-state
 // recomputation after an Invalidate performs no heap allocations at all
-// (the merge/canonicalize scratch lives in cacheScratch; the arena owns the
+// (the merge kernel's scratch lives in cacheScratch; the arena owns the
 // objects that survive the recompute inside c.prof).
 //
 // Free-on-invalidate is what bounds the arena: Invalidate (and, under

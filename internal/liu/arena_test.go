@@ -116,7 +116,7 @@ func TestEnsureParallelMatchesSequential(t *testing.T) {
 
 // TestMinMemAllocsSublinear pins the transient pass's recycling: the merge
 // copies every child profile, so their slices return to the arena and the
-// canonicalizations ahead reuse them, and no node allocates a leaf rope.
+// merges ahead reuse them, and no node allocates a leaf rope.
 // MinMem and AllSubtreePeaks must make far fewer allocations than there are
 // nodes.
 func TestMinMemAllocsSublinear(t *testing.T) {

@@ -1,6 +1,7 @@
 package liu
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -261,6 +262,77 @@ func TestSegmentCapEvictsHeavyProfiles(t *testing.T) {
 	for i := range want {
 		if sched[i] != want[i] {
 			t.Fatalf("schedule differs at %d under segment cap", i)
+		}
+	}
+}
+
+// staircaseForest hangs k hill–valley staircases of l spine levels (the
+// TestBudgetBoundsResidentBytes shape, each level keeping one more
+// profile segment) under a common root.
+func staircaseForest(k, l int) *tree.Tree {
+	parent := []int{tree.None}
+	weight := []int64{1}
+	for b := 0; b < k; b++ {
+		prev := 0
+		for j := l; j >= 1; j-- {
+			id := len(parent)
+			parent = append(parent, prev, id)
+			weight = append(weight, int64(j)*2, int64(5000-j*10))
+			prev = id
+		}
+	}
+	return tree.MustNew(parent, weight)
+}
+
+// TestParallelWarmAccounting checks the sharded warm's batched
+// resident-byte accounting at 2, 4 and 8 workers: unbounded, under a tight
+// byte budget and under a segment cap. After the join the byte audit must
+// pass, so ResidentBytes equals the per-node recount, and the reported
+// high-water must lie between ResidentBytes and what the policy allows: the
+// exact footprint when unbounded (a warm only adds bytes), the budget plus
+// the workers' credit slack plus the rope floor under a budget, and the
+// unbounded footprint plus the slack under a segment cap. Run it with
+// -race -count=10.
+func TestParallelWarmAccounting(t *testing.T) {
+	tr := staircaseForest(12, 150)
+	ref := NewProfileCache(tr)
+	ref.Peak(tr.Root())
+	full := ref.Stats().PeakResidentBytes
+	budget := full / 10
+	// The budget cannot evict rope slots a resident ancestor still
+	// references: 2.5 slots per node, as in the expand budget tests.
+	ropeFloor := int64(tr.N()) * ropeBytes * 5 / 2
+	for _, workers := range []int{2, 4, 8} {
+		for _, opts := range []CacheOptions{{}, {MaxResidentBytes: budget}, {MaxProfileSegments: 8}} {
+			label := fmt.Sprintf("workers=%d opts=%+v", workers, opts)
+			c := NewProfileCacheOpts(tr, opts)
+			c.EnsureParallel(tr.Root(), workers)
+			// The byte audit compares ResidentBytes with the per-node
+			// recount.
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			st := c.Stats()
+			if st.PeakResidentBytes < st.ResidentBytes {
+				t.Fatalf("%s: PeakResidentBytes %d below ResidentBytes %d", label, st.PeakResidentBytes, st.ResidentBytes)
+			}
+			slack := 2 * int64(workers) * c.warmBatch(workers)
+			var limit int64
+			switch {
+			case opts.MaxResidentBytes > 0:
+				limit = budget + slack + ropeFloor
+			case opts.MaxProfileSegments > 0:
+				limit = full + slack
+			default:
+				limit = full
+			}
+			if st.PeakResidentBytes > limit {
+				t.Fatalf("%s: PeakResidentBytes %d above %d (unbounded %d, slack %d)",
+					label, st.PeakResidentBytes, limit, full, slack)
+			}
+			if got := c.Peak(tr.Root()); got != ref.Peak(tr.Root()) {
+				t.Fatalf("%s: root peak %d, want %d", label, got, ref.Peak(tr.Root()))
+			}
 		}
 	}
 }

@@ -179,7 +179,11 @@ type CacheStats struct {
 	// and rope slots (free lists excluded).
 	ResidentBytes int64
 	// PeakResidentBytes is the high-water mark of ResidentBytes, the
-	// number the MaxResidentBytes budget is calibrated against.
+	// number the MaxResidentBytes budget is calibrated against. It never
+	// reads below the true high-water mark, and reads above it only after
+	// a sharded warm (EnsureParallel) under a residency policy, by at most
+	// the workers' batched credit: 1/32 of MaxResidentBytes, or
+	// workers·128 KiB under a segment cap alone.
 	PeakResidentBytes int64
 	// Evictions counts subtree evictions; EvictedNodes the node profiles
 	// they reclaimed (slices and rope slots). A node counts only if it
@@ -209,9 +213,19 @@ type CacheStats struct {
 type cacheScratch struct {
 	stack []cacheFrame
 	parts []profile
+	rest  []profile // mergeCanonical's runs after the lead prefix
 	merge mergeScratch
-	cum   []cumSeg
+	canon canonStack
 	arena profileArena
+
+	// Batched resident accounting of a sharded-warm worker (see
+	// EnsureParallel); batch is 0 on the primary scratch, which accounts
+	// exactly. credit is bytes the worker has added to residentBytes but
+	// not used yet: it reserves batch more when its credit runs out and
+	// hands the excess back when frees lift its credit past 2·batch, so
+	// residentBytes never falls below the true footprint. sliced counts
+	// dropped slices not yet added to slicedProfs.
+	batch, credit, sliced int64
 
 	// sliceQ is the FIFO of consumed profiles (nodes whose parent has
 	// merged them); entries are validated lazily at pop.
@@ -227,19 +241,13 @@ type cacheFrame struct {
 	expanded bool
 }
 
-// cumSeg is a profile segment in cumulative coordinates, the working
-// representation of canonicalization.
-type cumSeg struct {
-	hill, valley int64
-	nodes        rope
-}
-
 // newCacheScratch returns a scratch whose arena allocates from store and
 // pools segment slices up to poolCap bytes (0 = unlimited).
 func newCacheScratch(store *ropeStore, poolCap int64) *cacheScratch {
 	sc := &cacheScratch{}
 	sc.arena.store = store
 	sc.arena.poolCap = poolCap
+	sc.canon.arena = &sc.arena
 	return sc
 }
 
@@ -280,9 +288,12 @@ func (c *ProfileCache) policied() bool {
 	return c.opts.MaxResidentBytes > 0 || c.opts.MaxProfileSegments > 0
 }
 
-// overBudget reports that the resident footprint exceeds the byte budget.
-func (c *ProfileCache) overBudget() bool {
-	return c.opts.MaxResidentBytes > 0 && c.residentBytes.Load() > c.opts.MaxResidentBytes
+// overBudget reports that the resident footprint, as the scratch sc sees
+// it, exceeds the byte budget. A warm worker discounts its own unused
+// credit; the other workers' credit (at most 2·batch each) still counts,
+// so workers evict early rather than late.
+func (c *ProfileCache) overBudget(sc *cacheScratch) bool {
+	return c.opts.MaxResidentBytes > 0 && c.residentBytes.Load()-sc.credit > c.opts.MaxResidentBytes
 }
 
 // heavyProfile reports that p trips the segment-count cap.
@@ -390,7 +401,7 @@ func (c *ProfileCache) evictHanging(cand []int, sc *cacheScratch) {
 		// pressure: this is a safe eviction window (the candidate's
 		// ancestors were all just dirtied), so a forced eviction must be
 		// result-neutral — the property the injection harness asserts.
-		if faultinject.Fire(faultinject.CacheEvict) || c.heavyProfile(c.prof[v]) || c.overBudget() {
+		if faultinject.Fire(faultinject.CacheEvict) || c.heavyProfile(c.prof[v]) || c.overBudget(sc) {
 			c.evictSubtree(v, sc)
 		}
 	}
@@ -405,7 +416,7 @@ func (c *ProfileCache) NoteCandidate(v int) {
 	if !c.policied() || !c.valid[v] || c.pinned[v] != 0 {
 		return
 	}
-	if (c.prof[v] != nil && c.heavyProfile(c.prof[v])) || c.overBudget() {
+	if (c.prof[v] != nil && c.heavyProfile(c.prof[v])) || c.overBudget(c.sc) {
 		c.evictSubtree(v, c.sc)
 	}
 }
@@ -538,37 +549,14 @@ func (c *ProfileCache) recompute(v int, sc *cacheScratch) {
 	}
 	a := &sc.arena
 	a.replaying, a.cursor = c.owned[v] != 0, c.owned[v]
-	children := c.t.Children(v)
-	var merged profile
-	if len(children) > 0 {
-		parts := sc.parts[:0]
-		for _, ch := range children {
-			parts = append(parts, c.prof[ch])
-		}
-		merged = sc.merge.merge(parts)
-		sc.parts = parts[:0]
-	} else {
-		sc.merge.ensure(1)
-		merged = sc.merge.bufA[:0]
-	}
+	parts := sc.parts[:0]
 	var cs int64
-	for _, ch := range children {
+	for _, ch := range c.t.Children(v) {
+		parts = append(parts, c.prof[ch])
 		cs += c.t.Weight(ch)
 	}
-	w := c.t.Weight(v)
-	wbar := cs
-	if w > wbar {
-		wbar = w
-	}
-	merged = append(merged, segment{hill: wbar - cs, valley: w - cs, nodes: leafRope(v)})
-	canon := sc.canonicalize(merged)
-	var r, pk int64
-	for _, s := range canon {
-		if h := r + s.hill; h > pk {
-			pk = h
-		}
-		r += s.valley
-	}
+	canon := sc.mergeCanonical(parts, ownSegment(v, c.t.Weight(v), cs))
+	sc.parts = parts[:0]
 	bytes := int64(cap(canon)) * segmentBytes
 	if a.replaying {
 		if a.cursor != 0 {
@@ -582,21 +570,67 @@ func (c *ProfileCache) recompute(v int, sc *cacheScratch) {
 		bytes += int64(nropes) * ropeBytes
 	}
 	c.prof[v] = canon
-	c.peak[v] = pk
+	// Cumulative hills strictly decrease: the first is the peak.
+	c.peak[v] = canon[0].hill
 	c.valid[v] = true
-	c.addResident(bytes)
+	c.addResident(sc, bytes)
 }
 
-// addResident adjusts the resident-byte counter and maintains its
-// high-water mark.
-func (c *ProfileCache) addResident(n int64) {
-	r := c.residentBytes.Add(n)
+// addResident accounts n resident bytes (negative when freeing) made by
+// the scratch sc. The primary scratch updates the counter and its
+// high-water mark at once; a warm worker draws on its credit and settles
+// with the counter only when the credit runs out or piles up.
+func (c *ProfileCache) addResident(sc *cacheScratch, n int64) {
+	if sc.batch == 0 {
+		c.notePeak(c.residentBytes.Add(n))
+		return
+	}
+	sc.credit -= n
+	if sc.credit < 0 || sc.credit > 2*sc.batch {
+		c.settle(sc, sc.batch)
+	}
+}
+
+// settle sets a warm worker's credit to target, reserving or handing back
+// the difference in residentBytes, and flushes its sliced-profile count.
+// Under a residency policy a reservation records the counter, which then
+// bounds the footprint from above, as a high-water candidate. Without one
+// a warm only adds bytes, so the footprint peaks at the join, where
+// EnsureParallel records it exactly.
+func (c *ProfileCache) settle(sc *cacheScratch, target int64) {
+	d := target - sc.credit
+	sc.credit = target
+	r := c.residentBytes.Add(d)
+	if d > 0 && c.policied() {
+		c.notePeak(r)
+	}
+	if sc.sliced != 0 {
+		c.slicedProfs.Add(sc.sliced)
+		sc.sliced = 0
+	}
+}
+
+// notePeak raises the high-water mark to r.
+func (c *ProfileCache) notePeak(r int64) {
 	for {
 		p := c.peakResident.Load()
 		if r <= p || c.peakResident.CompareAndSwap(p, r) {
 			return
 		}
 	}
+}
+
+// warmBatch is the credit a worker of a sharded warm over workers shards
+// reserves at a time: 1/64 of the byte budget split among the workers, or
+// 64 KiB without a budget. The workers' unused credit, at most
+// 2·workers·batch bytes (1/32 of the budget), is the slack by which
+// ResidentBytes can overstate the footprint during the warm and by which
+// PeakResidentBytes can overstate its high-water mark.
+func (c *ProfileCache) warmBatch(workers int) int64 {
+	if b := c.opts.MaxResidentBytes; b > 0 {
+		return max(b/(64*int64(workers)), 1)
+	}
+	return 64 << 10
 }
 
 // pushConsumed registers a child profile whose parent has just merged it:
@@ -634,7 +668,7 @@ func (c *ProfileCache) slicePressure(sc *cacheScratch) {
 	// Borrow the eviction scratch for the pinned re-queue (evictSubtree
 	// never runs inside this loop).
 	requeue := sc.evictStack[:0]
-	for c.overBudget() && sc.sliceHead < len(sc.sliceQ) {
+	for c.overBudget(sc) && sc.sliceHead < len(sc.sliceQ) {
 		v := sc.sliceQ[sc.sliceHead]
 		sc.sliceHead++
 		if c.pinned[v] != 0 {
@@ -657,10 +691,14 @@ func (c *ProfileCache) slicePressure(sc *cacheScratch) {
 // evictSlice reclaims v's segment slice (rope slots stay: they are shared
 // into resident ancestors' profiles), leaving v sliceless.
 func (c *ProfileCache) evictSlice(v int, sc *cacheScratch) {
-	c.residentBytes.Add(-int64(cap(c.prof[v])) * segmentBytes)
+	c.addResident(sc, -int64(cap(c.prof[v]))*segmentBytes)
 	sc.arena.freeProfile(c.prof[v])
 	c.prof[v] = nil
-	c.slicedProfs.Add(1)
+	if sc.batch == 0 {
+		c.slicedProfs.Add(1)
+	} else {
+		sc.sliced++
+	}
 }
 
 // evictSubtree reclaims everything v's whole clean subtree holds — segment
@@ -706,42 +744,6 @@ func (c *ProfileCache) evictSubtree(v int, sc *cacheScratch) {
 	}
 }
 
-// canonicalize rewrites a profile so that cumulative hills strictly
-// decrease and cumulative valleys strictly increase, merging offending
-// consecutive segments; the memory profile it denotes is unchanged. The
-// output profile and the concatenation rope slots come from the scratch's
-// arena (MinMem uses a transient scratch; the profile cache recycles its
-// primary one across recomputations).
-func (sc *cacheScratch) canonicalize(p profile) profile {
-	st := sc.cum[:0]
-	var r int64
-	for _, s := range p {
-		c := cumSeg{hill: r + s.hill, valley: r + s.valley, nodes: s.nodes}
-		r = c.valley
-		for len(st) > 0 {
-			top := st[len(st)-1]
-			if top.hill <= c.hill || top.valley >= c.valley {
-				if top.hill > c.hill {
-					c.hill = top.hill
-				}
-				c.nodes = sc.arena.cat(top.nodes, c.nodes)
-				st = st[:len(st)-1]
-				continue
-			}
-			break
-		}
-		st = append(st, c)
-	}
-	out := sc.arena.newProfile(len(st))
-	var prev int64
-	for _, c := range st {
-		out = append(out, segment{hill: c.hill - prev, valley: c.valley - prev, nodes: c.nodes})
-		prev = c.valley
-	}
-	sc.cum = st[:0]
-	return out
-}
-
 // EnsureParallel warms v's subtree with up to workers concurrent warmers:
 // the dirty region under v is sharded into disjoint subtrees, each ensured
 // by exactly one worker with a private scratch (and private arena), then
@@ -753,6 +755,13 @@ func (sc *cacheScratch) canonicalize(p profile) profile {
 // every worker drops consumed slices within its own shard into its own
 // arena; at the join the primary arena absorbs every worker's free rope
 // slots and the surviving queue entries pass to the primary scratch.
+//
+// Workers batch their resident-byte and sliced-profile accounting through
+// a credit of warmBatch bytes (see cacheScratch), so the shared counters
+// are touched once per batch instead of once per recompute and dropped
+// slice. At the join every worker hands its credit back: ResidentBytes is
+// exact again, and PeakResidentBytes is never below the true high-water
+// mark and at most warmBatch's slack above it.
 //
 // A panic inside a warmer (an injected faultinject.ArenaAlloc failure, or
 // a genuine bug) is re-raised on the calling goroutine at the join, after
@@ -777,11 +786,13 @@ func (c *ProfileCache) EnsureParallel(v, workers int) {
 		workers = len(roots)
 	}
 	scratches := make([]*cacheScratch, workers)
+	batch := c.warmBatch(workers)
 	var next int64
 	var firstPanic atomic.Pointer[any]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		sc := newCacheScratch(c.sc.arena.store, c.sc.arena.poolCap)
+		sc.batch = batch
 		scratches[w] = sc
 		wg.Add(1)
 		go func() {
@@ -805,9 +816,11 @@ func (c *ProfileCache) EnsureParallel(v, workers int) {
 	}
 	wg.Wait()
 	for _, sc := range scratches {
+		c.settle(sc, 0)
 		c.sc.sliceQ = append(c.sc.sliceQ, sc.sliceQ[sc.sliceHead:]...)
 		c.sc.arena.absorb(&sc.arena)
 	}
+	c.notePeak(c.residentBytes.Load())
 	if p := firstPanic.Load(); p != nil {
 		if c.opts.Done == nil {
 			// The latch was only a sibling-stop signal, not a caller-visible

@@ -26,6 +26,7 @@ package liu
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/tree"
@@ -53,15 +54,11 @@ type profile []segment
 func MinMem(t *tree.Tree) (tree.Schedule, int64) {
 	prof, a := minMemProfile(t, t.Root())
 	sched := make(tree.Schedule, 0, t.N())
-	var peak, r int64
 	for _, s := range prof {
-		if h := r + s.hill; h > peak {
-			peak = h
-		}
-		r += s.valley
 		sched = a.appendTo(sched, s.nodes)
 	}
-	return sched, peak
+	// Cumulative hills strictly decrease: the first is the peak.
+	return sched, prof[0].hill
 }
 
 // MinMemPeak returns only the optimal peak (Peak_incore in Section 6).
@@ -114,59 +111,191 @@ func minMemProfileWithPeaks(t *tree.Tree, root int, peaks []int64) (profile, *pr
 		}
 		stack = stack[:len(stack)-1]
 		v := f.node
-		children := t.Children(v)
-		var merged profile
-		if len(children) > 0 {
-			parts := sc.parts[:0]
-			for _, c := range children {
-				parts = append(parts, done[c])
-				done[c] = nil
-			}
-			merged = sc.merge.merge(parts)
-			// The merge copied the children's segments: their slices
-			// go back to the arena for the canonicalizations ahead.
-			for _, p := range parts {
-				sc.arena.freeProfile(p)
-			}
-			sc.parts = parts[:0]
-		} else {
-			sc.merge.ensure(1)
-			merged = sc.merge.bufA[:0]
+		parts := sc.parts[:0]
+		var cs int64
+		for _, c := range t.Children(v) {
+			parts = append(parts, done[c])
+			done[c] = nil
+			cs += t.Weight(c)
 		}
-		// Executing v itself: all children outputs (Σ w_c) are
-		// resident; the execution peaks at w̄(v) and retains w_v.
-		// In incremental terms relative to the pre-segment retained
-		// volume Σ w_c (the sum of all child valleys):
-		cs := t.ChildrenSum(v)
-		merged = append(merged, segment{
-			hill:   t.WBar(v) - cs,
-			valley: t.Weight(v) - cs,
-			nodes:  leafRope(v),
-		})
-		canon := sc.canonicalize(merged)
+		canon := sc.mergeCanonical(parts, ownSegment(v, t.Weight(v), cs))
+		// The kernel copied the children's segments: their slices go back
+		// to the arena for the merges ahead.
+		for _, p := range parts {
+			sc.arena.freeProfile(p)
+		}
+		sc.parts = parts[:0]
 		if peaks != nil {
-			var r, peak int64
-			for _, s := range canon {
-				if h := r + s.hill; h > peak {
-					peak = h
-				}
-				r += s.valley
-			}
-			peaks[v] = peak
+			peaks[v] = canon[0].hill
 		}
 		done[v] = canon
 	}
 	return done[root], &sc.arena
 }
 
-// mergeScratch holds the reusable buffers of the profile merge. The merge
-// interleaves the children's canonical profiles optimally: all segments
-// ordered by non-increasing (hill − valley), which by Liu's theorem (and
-// the paper's Theorem 3 with x = hill, y = valley) minimizes the combined
-// peak max_k (x_k + Σ_{j<k} y_j). Ties are broken by child order, then by
-// per-child segment order. Because hill − valley strictly decreases within
-// a canonical profile, every child is already a sorted run, so instead of
-// a (allocating, reflect-based) stable sort the merge runs a bottom-up
+// ownSegment is the segment of executing node v, of weight w, once its
+// children's outputs (cs = Σ w_c) are resident: the execution peaks at
+// w̄(v) = max(w, cs) and retains w, taken relative to the volume cs
+// retained before it (the sum of all child valleys).
+func ownSegment(v int, w, cs int64) segment {
+	return segment{hill: max(w, cs) - cs, valley: w - cs, nodes: leafRope(v)}
+}
+
+// mergeCanonical is the per-node step of Liu's algorithm, shared by the
+// transient MinMem pass and the profile cache. It merges the children's
+// canonical profiles (parts, in child order) by non-increasing
+// hill − valley, which by Liu's theorem (and the paper's Theorem 3 with
+// x = hill, y = valley) minimizes the combined peak
+// max_k (x_k + Σ_{j<k} y_j); ties go to the earlier child, then to the
+// earlier segment of the same child, as in a stable sort. It appends the
+// node's own segment and canonicalizes the sequence: consecutive segments
+// are merged until cumulative hills strictly decrease and cumulative
+// valleys strictly increase, which leaves the memory profile unchanged.
+// The result is a fresh profile from the scratch's arena; the
+// concatenations come from the arena too.
+//
+// The merged sequence opens with a run of the lead child's segments, the
+// child whose first segment has the largest key: as many of its leading
+// segments as come before every other child's first segment. That run is
+// a prefix of a canonical profile, so canonicalization would push it
+// unchanged; the kernel binary-searches its length, copies it in bulk and
+// streams only the rest of the merge, then the node's own segment,
+// through the stack, which may pop back into the prefix. The stack sees
+// the same segments in the same order as a canonicalization of the whole
+// merge, so it makes the same concatenations in the same order and ends
+// with the same profile.
+func (sc *cacheScratch) mergeCanonical(parts []profile, own segment) profile {
+	// Reset on entry: a concatenation that panicked (an injected arena
+	// fault) may have left the last call's stack behind.
+	k := &sc.canon
+	k.lead, k.pp, k.pr, k.r, k.tail = nil, 0, 0, 0, k.tail[:0]
+	lead := -1
+	var leadKey int64
+	for i, p := range parts {
+		if len(p) > 0 && (lead < 0 || p[0].hill-p[0].valley > leadKey) {
+			lead, leadKey = i, p[0].hill-p[0].valley
+		}
+	}
+	rest := sc.rest[:0]
+	if lead >= 0 {
+		// A lead segment comes before every other child's first segment
+		// when its key exceeds bar: strictly above the first keys of the
+		// earlier children, at least the first keys of the later ones.
+		bar := int64(math.MinInt64)
+		for i, p := range parts {
+			if i != lead && len(p) > 0 {
+				b := p[0].hill - p[0].valley
+				if i > lead {
+					b--
+				}
+				bar = max(bar, b)
+			}
+		}
+		// Keys strictly decrease along a canonical profile, and the first
+		// lead segment qualifies by the choice of the lead.
+		l := parts[lead]
+		lo, hi := 1, len(l)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if l[m].hill-l[m].valley > bar {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		k.lead, k.pp = l, lo
+		for i, p := range parts {
+			if i == lead {
+				p = l[lo:]
+			}
+			if len(p) > 0 {
+				rest = append(rest, p)
+			}
+		}
+	}
+	// One run streams straight into the stack; more are merged in the
+	// scratch buffers first.
+	var a profile
+	switch len(rest) {
+	case 0:
+	case 1:
+		a = rest[0]
+	default:
+		a = sc.merge.merge(rest)
+	}
+	for _, s := range a {
+		k.push(s)
+	}
+	k.push(own)
+	out := sc.arena.newProfile(k.pp + len(k.tail))
+	out = append(out, k.lead[:k.pp]...)
+	prev := k.pr
+	for _, c := range k.tail {
+		out = append(out, segment{hill: c.hill - prev, valley: c.valley - prev, nodes: c.nodes})
+		prev = c.valley
+	}
+	sc.rest = rest[:0]
+	return out
+}
+
+// canonStack is mergeCanonical's stack of cumulative segments. Its bottom
+// is the prefix lead[:pp], read in place from the lead child's profile;
+// tail is the rest. Cumulative values are taken relative to the end of
+// the prefix the kernel copied, so the prefix's own cumulative values are
+// never summed: pr is the cumulative valley at the end of lead[:pp] (0
+// until the stack pops back into the prefix) and r the cumulative valley
+// of the input pushed so far.
+type canonStack struct {
+	lead  profile
+	pp    int
+	pr, r int64
+	tail  []cumSeg
+	arena *profileArena
+}
+
+// cumSeg is a profile segment in cumulative coordinates.
+type cumSeg struct {
+	hill, valley int64
+	nodes        rope
+}
+
+// push appends one merged segment, first merging into it every segment
+// on top of the stack that would break the canonical order: a cumulative
+// hill not above its own, or a cumulative valley not below its own.
+func (k *canonStack) push(s segment) {
+	c := cumSeg{hill: k.r + s.hill, valley: k.r + s.valley, nodes: s.nodes}
+	k.r = c.valley
+	for {
+		if n := len(k.tail); n > 0 {
+			top := k.tail[n-1]
+			if top.hill > c.hill && top.valley < c.valley {
+				break
+			}
+			c.hill = max(c.hill, top.hill)
+			c.nodes = k.arena.cat(top.nodes, c.nodes)
+			k.tail = k.tail[:n-1]
+			continue
+		}
+		if k.pp == 0 {
+			break
+		}
+		l := k.lead[k.pp-1]
+		below := k.pr - l.valley
+		if below+l.hill > c.hill && k.pr < c.valley {
+			break
+		}
+		c.hill = max(c.hill, below+l.hill)
+		c.nodes = k.arena.cat(l.nodes, c.nodes)
+		k.pp--
+		k.pr = below
+	}
+	k.tail = append(k.tail, c)
+}
+
+// mergeScratch holds the reusable buffers of mergeCanonical's merge of
+// two or more runs. Because hill − valley strictly decreases within a
+// canonical profile, every child is already a sorted run, so instead of a
+// (allocating, reflect-based) stable sort the merge runs a bottom-up
 // stable merge of the runs — O(total·log k) and allocation-free once the
 // buffers are warm.
 type mergeScratch struct {
@@ -174,8 +303,7 @@ type mergeScratch struct {
 	endsA, endsB []int32
 }
 
-// ensure grows both segment buffers to capacity n so that the caller can
-// append one further segment to the merge result without reallocating.
+// ensure grows both segment buffers to capacity n.
 func (ms *mergeScratch) ensure(n int) {
 	if cap(ms.bufA) < n {
 		ms.bufA = make(profile, 0, 2*n)
@@ -185,30 +313,29 @@ func (ms *mergeScratch) ensure(n int) {
 	}
 }
 
-// merge interleaves the canonical profiles in parts. The result aliases one
-// of the scratch buffers (capacity at least total+1, so the caller may
-// append the node's own segment in place) and is valid until the next call.
+// merge interleaves the canonical profiles in parts by non-increasing
+// hill − valley, ties to the earlier part. The result aliases one of the
+// scratch buffers and is valid until the next call.
 func (ms *mergeScratch) merge(parts []profile) profile {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
 	}
-	ms.ensure(total + 1)
-	if len(parts) == 1 {
-		return append(ms.bufA[:0], parts[0]...)
-	}
-	// Lay the runs out contiguously in child order.
+	ms.ensure(total)
+	// The first round merges adjacent parts straight from their slices;
+	// later rounds merge adjacent runs between the two buffers until one
+	// run remains. Ties go to the left (earlier-child) run, reproducing a
+	// stable sort.
 	src, dst := ms.bufA[:0], ms.bufB[:0]
 	ends, newEnds := ms.endsA[:0], ms.endsB[:0]
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
+	for i := 0; i < len(parts); i += 2 {
+		if i+1 == len(parts) {
+			src = append(src, parts[i]...)
+		} else {
+			src = mergeRuns(src, parts[i], parts[i+1])
 		}
-		src = append(src, p...)
 		ends = append(ends, int32(len(src)))
 	}
-	// Merge adjacent run pairs until one run remains; on equal keys the
-	// left (earlier-child) run wins, reproducing a stable sort.
 	for len(ends) > 1 {
 		dst = dst[:0]
 		newEnds = newEnds[:0]
@@ -216,24 +343,11 @@ func (ms *mergeScratch) merge(parts []profile) profile {
 		for i := 0; i < len(ends); i += 2 {
 			if i+1 == len(ends) {
 				dst = append(dst, src[start:ends[i]]...)
-				newEnds = append(newEnds, int32(len(dst)))
-				break
+			} else {
+				dst = mergeRuns(dst, src[start:ends[i]], src[ends[i]:ends[i+1]])
+				start = ends[i+1]
 			}
-			l, lEnd := start, ends[i]
-			r, rEnd := ends[i], ends[i+1]
-			for l < lEnd && r < rEnd {
-				if src[l].hill-src[l].valley >= src[r].hill-src[r].valley {
-					dst = append(dst, src[l])
-					l++
-				} else {
-					dst = append(dst, src[r])
-					r++
-				}
-			}
-			dst = append(dst, src[l:lEnd]...)
-			dst = append(dst, src[r:rEnd]...)
 			newEnds = append(newEnds, int32(len(dst)))
-			start = ends[i+1]
 		}
 		src, dst = dst, src
 		ends, newEnds = newEnds, ends
@@ -242,6 +356,22 @@ func (ms *mergeScratch) merge(parts []profile) profile {
 	ms.bufA, ms.bufB = src[:len(src):cap(src)], dst[:0:cap(dst)]
 	ms.endsA, ms.endsB = ends[:0:cap(ends)], newEnds[:0:cap(newEnds)]
 	return src
+}
+
+// mergeRuns appends to dst the stable merge of the runs a and b by
+// non-increasing hill − valley, ties to a.
+func mergeRuns(dst, a, b profile) profile {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].hill-a[0].valley >= b[0].hill-b[0].valley {
+			dst = append(dst, a[0])
+			a = a[1:]
+		} else {
+			dst = append(dst, b[0])
+			b = b[1:]
+		}
+	}
+	dst = append(dst, a...)
+	return append(dst, b...)
 }
 
 // PostOrderMinMem computes Liu's best postorder traversal for peak memory:

@@ -1,5 +1,7 @@
 package memsim
 
+import "slices"
+
 // NodeHeap is an indexed min-heap of node ids ordered by an int64 key, with
 // O(log n) Push/Remove and O(1) Peek. It is the one Furthest-in-Future
 // eviction queue of the module: the simulator's, and the byte-level
@@ -23,8 +25,20 @@ func (h *NodeHeap) len() int { return len(h.ids) }
 
 // grow extends the id index to cover ids in [0, n).
 func (h *NodeHeap) grow(n int) {
-	for len(h.idx) < n {
-		h.idx = append(h.idx, -1)
+	old := len(h.idx)
+	if n <= old {
+		return
+	}
+	h.idx = slices.Grow(h.idx, n-old)[:n]
+	for i := old; i < n; i++ {
+		h.idx[i] = -1
+	}
+}
+
+// reserve grows the id index's capacity to n ids.
+func (h *NodeHeap) reserve(n int) {
+	if n > cap(h.idx) {
+		h.idx = slices.Grow(h.idx, n-len(h.idx))
 	}
 }
 

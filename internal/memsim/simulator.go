@@ -78,21 +78,35 @@ func (s *Simulator) ensure(n int) {
 		s.resident = s.resident[:n]
 		s.tau = s.tau[:n]
 	} else {
-		grow := n
-		if d := 2 * c; d > grow {
-			grow = d
-		}
-		pos := make([]int32, n, grow)
-		copy(pos, s.pos)
-		stamp := make([]uint64, n, grow)
-		copy(stamp, s.stamp)
-		resident := make([]int64, n, grow)
-		copy(resident, s.resident)
-		tau := make([]int64, n, grow)
-		copy(tau, s.tau)
-		s.pos, s.stamp, s.resident, s.tau = pos, stamp, resident, tau
+		s.realloc(n, max(n, 2*c))
 	}
 	s.h.grow(n)
+}
+
+// Reserve grows the scratch's capacity to n nodes, so that runs over trees
+// of up to n nodes do not reallocate it. What the last Run left readable
+// stays readable. A caller whose tree grows between runs (the expansion
+// engine's mutable tree) reserves its room once instead of letting the
+// first growth double every array.
+func (s *Simulator) Reserve(n int) {
+	if cap(s.pos) < n {
+		s.realloc(len(s.pos), n)
+	}
+	s.h.reserve(n)
+}
+
+// realloc moves the node-indexed scratch to arrays of length l and
+// capacity c, keeping their contents.
+func (s *Simulator) realloc(l, c int) {
+	pos := make([]int32, l, c)
+	copy(pos, s.pos)
+	stamp := make([]uint64, l, c)
+	copy(stamp, s.stamp)
+	resident := make([]int64, l, c)
+	copy(resident, s.resident)
+	tau := make([]int64, l, c)
+	copy(tau, s.tau)
+	s.pos, s.stamp, s.resident, s.tau = pos, stamp, resident, tau
 }
 
 func (s *Simulator) run(ts TreeView, root int, M int64, sched []int, policy EvictionPolicy, traced bool) (int64, int64, error) {
