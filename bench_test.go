@@ -526,11 +526,11 @@ func BenchmarkRecExpandCacheBudgetHundredth200k(b *testing.B) { benchRecExpandCa
 
 // --- Streaming schedule emission (DESIGN.md §2.8) ---------------------------
 
-// The streamed-emission pair A/Bs the two finishes of the expansion engine
-// on the budgeted 200k-node staircase slice: RecExpandStream (segments
-// consumed and dropped; ropes released to the arena as the traversal
-// streams out) against the materializing RecExpand (n-word schedule built
-// by the flatten). Results are bit-identical — the pair differs only in
+// The streamed-emission pair A/Bs the two entry points of the expansion
+// engine on the budgeted 200k-node staircase slice: RecExpandStream
+// (segments consumed and dropped) against the materializing RecExpand
+// (the same finish, with a collector appending the segments into the
+// n-word schedule). Results are bit-identical — the pair differs only in
 // wall-clock and in the peak_rss_bytes / resident_MiB columns, which is
 // the point: the streamed row is the one a >10⁸-node run scales by.
 //
@@ -578,7 +578,6 @@ func benchRecExpandEmit(b *testing.B, stream bool, ctx context.Context) {
 	}
 	st := eng.CacheStats()
 	b.ReportMetric(float64(st.PeakResidentBytes)/(1<<20), "resident_MiB")
-	b.ReportMetric(float64(st.StreamedNodes), "streamed")
 	b.ReportMetric(float64(steps), "steps")
 	b.ReportMetric(float64(last.IO), "io")
 	b.ReportMetric(float64(peakRSSBytes()), "peak_rss_bytes")

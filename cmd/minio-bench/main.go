@@ -420,11 +420,10 @@ func perfFigure(scale string, seed int64, workers int, cacheBudget int64) error 
 // wall-clock and saves in resident bytes. An explicit -cache-budget adds a
 // fourth row with that budget.
 //
-// Every run uses the streaming finish (expand.RecExpandStream): the final
+// Every run streams the schedule (expand.RecExpandStream): the final
 // schedule is consumed segment by segment — written to -sched-out or
-// counted and discarded — so the n-word schedule slice is never built and
-// the schedule ropes are handed back to the cache arena as the traversal
-// streams out (DESIGN.md §2.8). -workers shards the initial profile warm;
+// counted and discarded — so the n-word schedule slice is never built
+// (DESIGN.md §2.8). -workers shards the initial profile warm;
 // its warmers account into the same resident-byte counter, so
 // peak_resident covers the whole cache for every setting.
 func hugeFigure(scale string, seed int64, workers int, cacheBudget int64, schedOut string) error {
@@ -444,7 +443,7 @@ func hugeFigure(scale string, seed int64, workers int, cacheBudget int64, schedO
 		budget int64
 	}
 	rows := []row{{"unlimited", 0}}
-	tab := stats.NewTable("budget", "time", "peak_resident", "evictions", "remats", "streamed", "io", "expansions")
+	tab := stats.NewTable("budget", "time", "peak_resident", "evictions", "remats", "io", "expansions")
 	var baseIO int64
 	var baseExp int
 	for i := 0; i < len(rows); i++ {
@@ -507,7 +506,6 @@ func hugeFigure(scale string, seed int64, workers int, cacheBudget int64, schedO
 		tab.AddRow(r.label, dur.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.1fMiB", float64(st.PeakResidentBytes)/(1<<20)),
 			fmt.Sprint(st.Evictions), fmt.Sprint(st.Rematerializations),
-			fmt.Sprint(st.StreamedNodes),
 			fmt.Sprint(res.IO), fmt.Sprint(res.Expansions))
 	}
 	fmt.Println("RECEXPAND with streamed emission under shared-cache residency budgets (identical results):")

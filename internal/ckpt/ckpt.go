@@ -115,7 +115,7 @@ type State struct {
 	// CapHit records that the global expansion cap tripped (meaningful
 	// once Phase == PhaseFinish; during the walk it is recomputed).
 	CapHit bool
-	// EmittedIDs counts the schedule ids the streaming finish had handed
+	// EmittedIDs counts the schedule ids the engine's finish had handed
 	// to the consumer when the checkpoint was taken. Informational: resume
 	// trusts the repaired output stream for the seek offset, since the
 	// stream on disk may be ahead of (or behind) the last checkpoint.

@@ -83,11 +83,13 @@ func captureCkpts(t *testing.T, c ckptCase, workers int, dir string) (*Result, [
 // TestCkptCursorIsPostorderIndex pins every cursor a checkpoint-armed run
 // commits to the natural-postorder index of the recursion node whose loop
 // made the logged expansion. At interval 1 every expansion is written, so
-// for each loop commit the node at the cursor must be a recursion node
-// (inner, initial subtree peak above M) and an ancestor of the victim just
-// logged, the cursors must walk the postorder forward, and CurIters must
-// count the node's expansions from 1. The finished walk commits the node
-// count.
+// for each loop commit (the writes in PhaseExpand) the node at the cursor
+// must be a recursion node (inner, initial subtree peak above M) and an
+// ancestor of the victim just logged, the cursors must walk the postorder
+// forward, and CurIters must count the node's expansions from 1. The
+// finished walk commits the node count, and every later write is an
+// emission commit of the finish: phase finish at cursor N, with a
+// nondecreasing EmittedIDs that reaches N at the last write.
 func TestCkptCursorIsPostorderIndex(t *testing.T) {
 	for i, c := range ckptCorpus(t, 16, 29) {
 		_, snaps := captureCkpts(t, c, 1, t.TempDir())
@@ -99,11 +101,26 @@ func TestCkptCursorIsPostorderIndex(t *testing.T) {
 			}
 			states[k] = st
 		}
-		final := states[len(states)-1]
-		if final.Phase != ckpt.PhaseFinish || final.Cursor != c.tr.N() {
-			t.Fatalf("case %d: last write has phase %v cursor %d, want the finish at %d",
-				i, final.Phase, final.Cursor, c.tr.N())
+		loop := 0
+		for loop < len(states) && states[loop].Phase == ckpt.PhaseExpand {
+			loop++
 		}
+		var emitted int64
+		for k, st := range states[loop:] {
+			if st.Phase != ckpt.PhaseFinish || st.Cursor != c.tr.N() {
+				t.Fatalf("case %d write %d: phase %v cursor %d after the walk, want the finish at %d",
+					i, loop+k, st.Phase, st.Cursor, c.tr.N())
+			}
+			if st.EmittedIDs < emitted {
+				t.Fatalf("case %d write %d: EmittedIDs fell from %d to %d", i, loop+k, emitted, st.EmittedIDs)
+			}
+			emitted = st.EmittedIDs
+		}
+		if loop == len(states) || emitted != int64(c.tr.N()) {
+			t.Fatalf("case %d: %d finish writes end with %d emitted ids, want %d",
+				i, len(states)-loop, emitted, c.tr.N())
+		}
+		final := states[len(states)-1]
 		m := NewMutable(c.tr)
 		for _, e := range final.Exps {
 			if _, _, err := m.Expand(e.Victim, e.Amount); err != nil {
@@ -113,7 +130,7 @@ func TestCkptCursorIsPostorderIndex(t *testing.T) {
 		post := c.tr.NaturalPostorder()
 		peaks := liu.AllSubtreePeaks(c.tr)
 		cursor, iters := 0, 0
-		for k, st := range states[:len(states)-1] {
+		for k, st := range states[:loop] {
 			if st.Cursor < 0 || st.Cursor >= len(post) {
 				t.Fatalf("case %d write %d: loop cursor %d outside the postorder", i, k, st.Cursor)
 			}

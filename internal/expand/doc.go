@@ -44,12 +44,14 @@
 //
 // (*Engine).RecExpandStream delivers the final original-tree schedule to a
 // yield function segment by segment instead of materializing
-// Result.Schedule: the expanded-tree evaluation and the original-tree
-// validation/simulation run on memsim.RunStream's two-pass streaming
-// protocol, and the last pass emits in releasing mode
-// (liu.EmitScheduleRelease), handing each schedule rope back to the cache
-// arena as the traversal streams out. tree.WriteSchedule writes such a
-// stream to disk with O(segment) memory — the path that opens >10⁸-node
-// trees (DESIGN.md §2.8). Streamed segments concatenate to exactly the
-// materialized Schedule, pinned by the streaming differential grid.
+// Result.Schedule, and (*Engine).RecExpand is that call plus a collector
+// that appends the segments. The finish runs Algorithm 2's two closing FiF
+// evaluations — the expanded tree's and the transposed schedule's on the
+// original tree — in lockstep on two memsim.Simulators, over two plain
+// walks of the expanded tree's emission: the first indexes both
+// simulations, the second steps both and hands each primary segment to
+// yield. tree.WriteSchedule writes such a stream to disk with O(segment)
+// memory — the path that opens >10⁸-node trees (DESIGN.md §2.8). The
+// streaming grids pin the streamed segments to ReferenceRecExpand's
+// Schedule.
 package expand

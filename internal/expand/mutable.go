@@ -259,15 +259,6 @@ func (m *MutableTree) EmitMinMemSchedule(r int, yield func(seg []int) bool) bool
 	return m.profiles.EmitSchedule(r, yield)
 }
 
-// EmitMinMemScheduleRelease is EmitMinMemSchedule in releasing mode: rope
-// pages return to the cache arena as the traversal streams out and r's
-// subtree is left clean-but-evicted; see
-// liu.(*ProfileCache).EmitScheduleRelease for when releasing engages.
-// EnableProfiles must have been called.
-func (m *MutableTree) EmitMinMemScheduleRelease(r int, yield func(seg []int) bool) bool {
-	return m.profiles.EmitScheduleRelease(r, yield)
-}
-
 // SubtreeNodes returns the nodes of r's current subtree, r first.
 func (m *MutableTree) SubtreeNodes(r int) []int {
 	nodes := []int{r}
@@ -315,19 +306,6 @@ func (m *MutableTree) Transpose(sched tree.Schedule, toMut []int) tree.Schedule 
 		mv := toMut[v]
 		if m.role[mv] == RolePrimary {
 			out = append(out, m.orig[mv])
-		}
-	}
-	return out
-}
-
-// PrimarySchedule maps a schedule expressed directly in mutable-tree ids
-// back to the original tree: only RolePrimary nodes are kept, renamed to
-// their original ids. It is Transpose with the identity id map.
-func (m *MutableTree) PrimarySchedule(sched []int) tree.Schedule {
-	out := make(tree.Schedule, 0, len(sched))
-	for _, v := range sched {
-		if m.role[v] == RolePrimary {
-			out = append(out, m.orig[v])
 		}
 	}
 	return out

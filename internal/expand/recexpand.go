@@ -179,15 +179,16 @@ func RecExpand(t *tree.Tree, M int64, opts Options) (*Result, error) {
 }
 
 // Engine owns the reusable scratch of the expansion heuristics: the
-// allocation-free simulator, the flattened-schedule buffer and the
+// allocation-free simulators, the flattened-schedule buffer and the
 // BFS-rank buffer. Reusing one Engine across many RecExpand calls (as the
 // experiment runner does, one per worker) avoids re-growing that scratch
 // per instance. An Engine is not safe for concurrent use.
 type Engine struct {
-	sim     *memsim.Simulator
-	sched   []int   // reusable flattened-schedule scratch
-	bfsPos  []int32 // reusable BFS-rank scratch (LargestTau ties only)
-	primBuf []int   // reusable primary-filter chunk (streaming finish)
+	sim     *memsim.Simulator // the expanded tree's FiF evaluations
+	prim    *memsim.Simulator // the finish's original-tree FiF evaluation
+	sched   []int             // reusable flattened-schedule scratch
+	bfsPos  []int32           // reusable BFS-rank scratch (LargestTau ties only)
+	primBuf []int             // reusable primary-filter chunk (finish)
 
 	cacheStats liu.CacheStats // profile-cache counters of the last run
 }
@@ -201,25 +202,26 @@ func (e *Engine) CacheStats() liu.CacheStats { return e.cacheStats }
 
 // NewEngine returns an engine with empty scratch; buffers grow on first
 // use and are retained across calls.
-func NewEngine() *Engine { return &Engine{sim: memsim.NewSimulator()} }
+func NewEngine() *Engine {
+	return &Engine{sim: memsim.NewSimulator(), prim: memsim.NewSimulator()}
+}
 
-// RecExpand is the Engine-bound form of the package-level RecExpand. A
-// panic that reaches this boundary (an injected fault, an invariant
-// violation) is recovered into a typed PanicError instead of crashing the
-// process; the engine stays re-runnable.
-func (e *Engine) RecExpand(t *tree.Tree, M int64, opts Options) (res *Result, err error) {
-	defer containPanic(&err)
-	m, capHit, _, err := e.expandTree(t, M, opts)
+// RecExpand is the Engine-bound form of the package-level RecExpand: a
+// collector over RecExpandStream that appends the streamed segments to
+// Result.Schedule. A panic that reaches this boundary (an injected fault,
+// an invariant violation) is recovered into a typed PanicError instead of
+// crashing the process; the engine stays re-runnable.
+func (e *Engine) RecExpand(t *tree.Tree, M int64, opts Options) (*Result, error) {
+	sched := make(tree.Schedule, 0, t.N())
+	res, err := e.RecExpandStream(t, M, opts, func(seg []int) bool {
+		sched = append(sched, seg...)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	res, err = e.finish(opts.Ctx, t, m, M, capHit)
-	if err == nil && opts.VerifyCache {
-		if verr := m.CheckProfileInvariants(); verr != nil {
-			return nil, fmt.Errorf("expand: post-run cache audit: %w", verr)
-		}
-	}
-	return res, err
+	res.Schedule = sched
+	return res, nil
 }
 
 // RecExpandStream is RecExpand for out-of-core-scale trees: instead of
@@ -229,29 +231,24 @@ func (e *Engine) RecExpand(t *tree.Tree, M int64, opts Options) (res *Result, er
 // duration of the call — write it out (tree.WriteSchedule) or fold it
 // immediately. The returned Result carries a nil Schedule; every other
 // field (IO, expansion accounting, SimulatedIO/SimulatedPeak, CapHit) is
-// bit-identical to the materializing path, and the streamed segments
-// concatenate to exactly Result.Schedule of that path (pinned by the
-// streaming differential grid).
-//
-// The streamed finish also releases the engine's schedule ropes back to
-// the profile-cache arena as the emission advances
-// (liu.EmitScheduleRelease), so the Θ(n) working set the old flatten held
-// — every rope of the tree plus the n-word slice — shrinks progressively
-// instead of peaking at the end; under a CacheBudget this is what opens
-// >10⁸-node trees (DESIGN.md §2.8).
+// the Result RecExpand returns, and the streamed segments concatenate to
+// exactly its Schedule: RecExpand is this call plus an appending
+// collector. The schedule is never held whole, so the finish adds
+// O(segment) memory beyond the engine's node-indexed scratch (DESIGN.md
+// §2.8).
 //
 // If yield returns false the run aborts and returns ErrEmissionStopped.
-// Like RecExpand, a panic reaching this boundary is recovered into a
-// typed PanicError. With Options.Ctx set, cancellation is additionally
-// checked between streamed segments, so a consumer blocked on slow output
-// storage still observes it promptly.
+// A panic reaching this boundary is recovered into a typed PanicError.
+// With Options.Ctx set, cancellation is additionally checked between
+// streamed segments, so a consumer blocked on slow output storage still
+// observes it promptly.
 func (e *Engine) RecExpandStream(t *tree.Tree, M int64, opts Options, yield func(seg []int) bool) (res *Result, err error) {
 	defer containPanic(&err)
 	m, capHit, ck, err := e.expandTree(t, M, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err = e.finishStream(opts.Ctx, t, m, M, capHit, ck, yield)
+	res, err = e.finish(opts.Ctx, t, m, M, capHit, ck, yield)
 	if err == nil && opts.VerifyCache {
 		if verr := m.CheckProfileInvariants(); verr != nil {
 			return nil, fmt.Errorf("expand: post-run cache audit: %w", verr)
@@ -437,78 +434,79 @@ func (e *Engine) expandLoop(m *MutableTree, r, idx int, M int64, opts Options, g
 // yield function stopped the emission before the schedule was complete.
 var ErrEmissionStopped = errors.New("expand: schedule emission stopped by consumer")
 
-// finishStream is finish without the n-word schedules: the expanded-tree
-// FiF evaluation and the original-tree validation/simulation both run on
-// streamed emissions (memsim.RunStream's two deterministic passes), and
-// the caller receives the original-tree schedule segment by segment during
-// the last pass — which emits in releasing mode, handing each schedule
-// rope back to the cache arena as it streams out.
-func (e *Engine) finishStream(ctx context.Context, t *tree.Tree, m *MutableTree, M int64, capHit bool, ck *ckptRunner, yield func(seg []int) bool) (*Result, error) {
-	peak := m.SubtreePeak(m.Root())
+// finish is Algorithm 2's close: two FiF evaluations of the final
+// schedule, in lockstep on two simulators. The expanded-tree simulation
+// (e.sim) gives ResidualIO, the residual τ Theorem 1 makes optimal for the
+// fixed σ; the original-tree simulation (e.prim) runs on that schedule
+// filtered to primary nodes in original ids, gives SimulatedIO and
+// SimulatedPeak, and rejects any stream that is not a topological
+// permutation of t. Both simulators take the same two walks of the
+// expanded tree's emission: the first indexes both, the second steps both
+// and hands each primary segment to yield after it has been simulated,
+// committing emission progress to the checkpoint runner. Cancellation is
+// checked per segment of either walk.
+func (e *Engine) finish(ctx context.Context, t *tree.Tree, m *MutableTree, M int64, capHit bool, ck *ckptRunner, yield func(seg []int) bool) (*Result, error) {
 	root := m.Root()
-	emitExpanded := func(y func(seg []int) bool) bool {
-		return m.EmitMinMemSchedule(root, y)
+	peak := m.SubtreePeak(root)
+	simErr := func(label string, err error) error {
+		return mapErr(ctx, fmt.Errorf("expand: simulating %s: %w", label, err))
 	}
-	finalIO, _, err := e.sim.RunStreamCtx(ctx, m, root, M, emitExpanded, memsim.FiF)
-	if err != nil {
-		return nil, ck.flushOnCancel(mapErr(ctx, fmt.Errorf("expand: simulating final tree: %w", err)))
-	}
-	// The original-tree pass filters the emission down to primary nodes in
-	// original ids. RunStream invokes the source exactly twice; only the
-	// second (last) pass releases ropes and tees segments to the caller.
-	pass := 0
-	stopped := false
-	var ckErr error
-	emitPrimary := func(y func(seg []int) bool) bool {
-		pass++
-		last := pass == 2
-		filter := func(seg []int) bool {
-			buf := e.primBuf[:0]
-			for _, v := range seg {
-				if m.role[v] == RolePrimary {
-					buf = append(buf, m.orig[v])
-				}
+	walk := func(pass func(*memsim.Simulator, []int) error, out bool) (err error) {
+		m.EmitMinMemSchedule(root, func(seg []int) bool {
+			if err = ctxErr(ctx); err != nil {
+				return false
 			}
-			e.primBuf = buf
-			if len(buf) == 0 {
+			if perr := pass(e.sim, seg); perr != nil {
+				err = simErr("final tree", perr)
+				return false
+			}
+			if seg = e.primary(m, seg); len(seg) == 0 {
 				return true
 			}
-			if last {
-				if yield != nil && !yield(buf) {
-					stopped = true
-					return false
-				}
-				// The segment is in the consumer's hands: a quiescent
-				// point of the emission (every K segments hits disk).
-				if ck != nil {
-					if ckErr = ck.commitEmit(len(buf)); ckErr != nil {
-						return false
-					}
-				}
+			if perr := pass(e.prim, seg); perr != nil {
+				err = simErr("transposed schedule", perr)
+				return false
 			}
-			return y(buf)
-		}
-		if last {
-			return m.EmitMinMemScheduleRelease(root, filter)
-		}
-		return m.EmitMinMemSchedule(root, filter)
+			if !out {
+				return true
+			}
+			if yield != nil && !yield(seg) {
+				err = ErrEmissionStopped
+				return false
+			}
+			// The segment is in the consumer's hands: a quiescent point
+			// of the emission (every K segments hits disk).
+			if ck != nil {
+				err = ck.commitEmit(len(seg))
+			}
+			return err == nil
+		})
+		return err
 	}
-	simIO, simPeak, err := e.sim.RunStreamCtx(ctx, t, t.Root(), M, emitPrimary, memsim.FiF)
+	e.sim.Begin(m, root, M, memsim.FiF)
+	e.prim.Begin(t, t.Root(), M, memsim.FiF)
+	err := walk((*memsim.Simulator).Index, false)
+	if err == nil {
+		err = walk((*memsim.Simulator).Step, true)
+	}
+	// End both on every exit: it drops the simulators' references to m and t.
+	finalIO, _, ferr := e.sim.End()
+	simIO, simPeak, serr := e.prim.End()
+	switch {
+	case err != nil:
+	case ferr != nil:
+		err = simErr("final tree", ferr)
+	case serr != nil:
+		err = simErr("transposed schedule", serr)
+	}
 	if err != nil {
-		if stopped {
-			// The consumer went away mid-emission: flush the committed
-			// state (emission progress included) so the interrupted run is
-			// resumable — the slow-client seal path of the serving layer.
-			return nil, ck.flushOnCancel(ErrEmissionStopped)
-		}
-		if ckErr != nil {
-			return nil, ckErr
-		}
-		return nil, ck.flushOnCancel(mapErr(ctx, fmt.Errorf("expand: simulating transposed schedule: %w", err)))
+		// A stopped consumer or a cancellation flushes the committed state
+		// (emission progress included) so the interrupted run is
+		// resumable — the slow-client seal path of the serving layer.
+		return nil, ck.flushOnCancel(err)
 	}
 	e.cacheStats = m.ProfileStats()
 	return &Result{
-		Schedule:      nil, // streamed to yield instead
 		IO:            m.ExpansionIO() + finalIO,
 		ExpansionIO:   m.ExpansionIO(),
 		ResidualIO:    finalIO,
@@ -520,39 +518,21 @@ func (e *Engine) finishStream(ctx context.Context, t *tree.Tree, m *MutableTree,
 	}, nil
 }
 
-// finish computes the final expanded-tree schedule, transposes it to the
-// original tree and assembles the Result — the materializing counterpart
-// of finishStream.
-func (e *Engine) finish(ctx context.Context, t *tree.Tree, m *MutableTree, M int64, capHit bool) (*Result, error) {
-	finalSched := m.AppendMinMemSchedule(m.Root(), nil)
-	peak := m.SubtreePeak(m.Root())
-	finalIO, _, err := e.sim.Run(m, m.Root(), M, finalSched, memsim.FiF)
-	if err != nil {
-		return nil, mapErr(ctx, fmt.Errorf("expand: simulating final tree: %w", err))
+// primary filters seg, a segment of the expanded tree's emission, down to
+// its primary nodes in original-tree ids, in the engine's reusable chunk
+// (sized once to the segment, which holds at most that many).
+func (e *Engine) primary(m *MutableTree, seg []int) []int {
+	buf := e.primBuf[:0]
+	if cap(buf) < len(seg) {
+		buf = make([]int, 0, len(seg))
 	}
-	orig := m.PrimarySchedule(finalSched)
-	if err := tree.Validate(t, orig); err != nil {
-		return nil, mapErr(ctx, fmt.Errorf("expand: transposed schedule invalid: %w", err))
+	for _, v := range seg {
+		if m.role[v] == RolePrimary {
+			buf = append(buf, m.orig[v])
+		}
 	}
-	// Reuse the warm simulator: *tree.Tree implements no ChildRanker, so
-	// this keeps the public Run's historical id tie-break while avoiding
-	// its per-call scratch allocation. Only IO and Peak are consumed.
-	simIO, simPeak, err := e.sim.Run(t, t.Root(), M, orig, memsim.FiF)
-	if err != nil {
-		return nil, mapErr(ctx, fmt.Errorf("expand: simulating transposed schedule: %w", err))
-	}
-	e.cacheStats = m.ProfileStats()
-	return &Result{
-		Schedule:      orig,
-		IO:            m.ExpansionIO() + finalIO,
-		ExpansionIO:   m.ExpansionIO(),
-		ResidualIO:    finalIO,
-		SimulatedIO:   simIO,
-		SimulatedPeak: simPeak,
-		Expansions:    m.Expansions(),
-		CapHit:        capHit,
-		FinalPeak:     peak,
-	}, nil
+	e.primBuf = buf
+	return buf
 }
 
 // appendBFSRanks fills bfsPos (grown as needed, indexed by mutable id) with

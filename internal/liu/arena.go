@@ -216,13 +216,6 @@ func (a *profileArena) freeOwned(chain rope) {
 	a.free = chain
 }
 
-// release returns one slot to the free list. Streaming emission uses it to
-// hand back each slot the moment the traversal walk has consumed it.
-func (a *profileArena) release(r rope) {
-	a.store.node(r).next = a.free
-	a.free = r
-}
-
 // absorb takes over the rope slots of a worker arena that is being
 // retired at the sharded warm's join: its free list, the unused rest of
 // its page, and any chain a panicking recompute left unpublished (nothing
@@ -232,7 +225,8 @@ func (a *profileArena) absorb(w *profileArena) {
 	a.freeOwned(w.free)
 	a.freeOwned(w.owned)
 	for r := w.bump; r < w.end; r++ {
-		a.release(r)
+		a.store.node(r).next = a.free
+		a.free = r
 	}
 }
 

@@ -132,6 +132,30 @@ func TestMinMemAllocsSublinear(t *testing.T) {
 	}
 }
 
+// TestMinMemPeakSkipsFlatten pins that MinMemPeak reads the peak off the
+// profile instead of flattening the schedule: on SYNTH 3000 it must
+// allocate at least the n-word schedule (8·n bytes) less than MinMem.
+func TestMinMemPeakSkipsFlatten(t *testing.T) {
+	const n = 3000
+	tr := randtree.Synth(n, rand.New(rand.NewSource(n)))
+	if _, peak := MinMem(tr); MinMemPeak(tr) != peak {
+		t.Fatalf("MinMemPeak %d, MinMem's peak %d", MinMemPeak(tr), peak)
+	}
+	bytes := func(f func()) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		}).AllocedBytesPerOp()
+	}
+	full := bytes(func() { MinMem(tr) })
+	peakOnly := bytes(func() { MinMemPeak(tr) })
+	if full-peakOnly < 8*n {
+		t.Fatalf("MinMemPeak allocates %d B, MinMem %d B: want at least %d B less", peakOnly, full, 8*n)
+	}
+}
+
 // unlistedSlots counts the store slots that are on no list: neither an
 // ownership chain, the primary arena's pending chain, its free list, nor
 // the unused rest of its page. After CheckInvariants has passed (no slot
@@ -153,9 +177,8 @@ func unlistedSlots(c *ProfileCache) int {
 // moves slots between arenas and lists: a sharded warm with 2, 4 and 8
 // workers (whose free slots and unused page tails the primary arena
 // absorbs at the join), invalidate/recompute cycles with subtree
-// eviction and sliceless rebuilds, and a releasing emission (which
-// releases every slot of the tree). After each, CheckInvariants must pass
-// and no slot may be lost.
+// eviction and sliceless rebuilds, and a root emission. After each,
+// CheckInvariants must pass and no slot may be lost.
 func TestRopeStoreShardedWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	audit := func(c *ProfileCache, label string) {
@@ -190,13 +213,10 @@ func TestRopeStoreShardedWarm(t *testing.T) {
 					c.AppendSchedule(rng.Intn(m.N()), nil)
 				}
 				audit(c, label+" after invalidate/recompute cycles")
-				if got := collect(c, m.root, true); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: releasing emission diverges", label)
+				if got := collect(c, m.root); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: emission diverges", label)
 				}
-				audit(c, label+" after a releasing emission")
-				if c.Stats().ResidentBytes != 0 {
-					t.Fatalf("%s: %d bytes resident after a releasing emission", label, c.Stats().ResidentBytes)
-				}
+				audit(c, label+" after an emission")
 			}
 		}
 	}

@@ -32,17 +32,14 @@ func budgetedEquals(t *testing.T, tr *tree.Tree, opts CacheOptions, label string
 	}
 }
 
-// TestBudgetedCacheMatchesUnbounded sweeps tiny-to-generous budgets and
-// segment caps over random trees: residency policy must never change a
-// query answer.
+// TestBudgetedCacheMatchesUnbounded sweeps tiny-to-generous budgets over
+// random trees: residency policy must never change a query answer.
 func TestBudgetedCacheMatchesUnbounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	budgets := []CacheOptions{
 		{MaxResidentBytes: 1},       // constant thrash
 		{MaxResidentBytes: 1 << 12}, // tight
 		{MaxResidentBytes: 1 << 24}, // loose
-		{MaxProfileSegments: 1},     // aggressive segment cap, no budget
-		{MaxResidentBytes: 1 << 12, MaxProfileSegments: 2},
 	}
 	for trial := 0; trial < 40; trial++ {
 		tr := cacheRandomTree(2+rng.Intn(300), rng)
@@ -62,9 +59,6 @@ func TestBudgetedIncrementalMatchesFresh(t *testing.T) {
 		tr := cacheRandomTree(2+rng.Intn(60), rng)
 		m := newWeightedMutable(tr)
 		opts := CacheOptions{MaxResidentBytes: []int64{1, 512, 1 << 16}[trial%3]}
-		if trial%2 == 0 {
-			opts.MaxProfileSegments = 1 + rng.Intn(3)
-		}
 		c := NewProfileCacheOpts(m, opts)
 		c.Peak(m.root)
 		k := 1 + rng.Intn(8)
@@ -247,25 +241,6 @@ func TestAppendScheduleInteriorSliceless(t *testing.T) {
 	}
 }
 
-// TestSegmentCapEvictsHeavyProfiles checks MaxProfileSegments alone (no
-// byte budget): consumed profiles over the cap must be dropped, and
-// results must be unchanged.
-func TestSegmentCapEvictsHeavyProfiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	tr := cacheRandomTree(500, rng)
-	c := NewProfileCacheOpts(tr, CacheOptions{MaxProfileSegments: 1})
-	sched := c.AppendSchedule(tr.Root(), nil)
-	if st := c.Stats(); st.SlicedProfiles == 0 {
-		t.Fatal("segment cap 1 dropped no profiles on a 500-node random tree")
-	}
-	want, _ := MinMem(tr)
-	for i := range want {
-		if sched[i] != want[i] {
-			t.Fatalf("schedule differs at %d under segment cap", i)
-		}
-	}
-}
-
 // staircaseForest hangs k hill–valley staircases of l spine levels (the
 // TestBudgetBoundsResidentBytes shape, each level keeping one more
 // profile segment) under a common root.
@@ -285,14 +260,13 @@ func staircaseForest(k, l int) *tree.Tree {
 }
 
 // TestParallelWarmAccounting checks the sharded warm's batched
-// resident-byte accounting at 2, 4 and 8 workers: unbounded, under a tight
-// byte budget and under a segment cap. After the join the byte audit must
-// pass, so ResidentBytes equals the per-node recount, and the reported
-// high-water must lie between ResidentBytes and what the policy allows: the
-// exact footprint when unbounded (a warm only adds bytes), the budget plus
-// the workers' credit slack plus the rope floor under a budget, and the
-// unbounded footprint plus the slack under a segment cap. Run it with
-// -race -count=10.
+// resident-byte accounting at 2, 4 and 8 workers, unbounded and under a
+// tight byte budget. After the join the byte audit must pass, so
+// ResidentBytes equals the per-node recount, and the reported high-water
+// must lie between ResidentBytes and what the policy allows: the exact
+// footprint when unbounded (a warm only adds bytes), and the budget plus
+// the workers' credit slack plus the rope floor under a budget. Run it
+// with -race -count=10.
 func TestParallelWarmAccounting(t *testing.T) {
 	tr := staircaseForest(12, 150)
 	ref := NewProfileCache(tr)
@@ -303,7 +277,7 @@ func TestParallelWarmAccounting(t *testing.T) {
 	// references: 2.5 slots per node, as in the expand budget tests.
 	ropeFloor := int64(tr.N()) * ropeBytes * 5 / 2
 	for _, workers := range []int{2, 4, 8} {
-		for _, opts := range []CacheOptions{{}, {MaxResidentBytes: budget}, {MaxProfileSegments: 8}} {
+		for _, opts := range []CacheOptions{{}, {MaxResidentBytes: budget}} {
 			label := fmt.Sprintf("workers=%d opts=%+v", workers, opts)
 			c := NewProfileCacheOpts(tr, opts)
 			c.EnsureParallel(tr.Root(), workers)
@@ -317,14 +291,9 @@ func TestParallelWarmAccounting(t *testing.T) {
 				t.Fatalf("%s: PeakResidentBytes %d below ResidentBytes %d", label, st.PeakResidentBytes, st.ResidentBytes)
 			}
 			slack := 2 * int64(workers) * c.warmBatch(workers)
-			var limit int64
-			switch {
-			case opts.MaxResidentBytes > 0:
+			limit := full
+			if opts.MaxResidentBytes > 0 {
 				limit = budget + slack + ropeFloor
-			case opts.MaxProfileSegments > 0:
-				limit = full + slack
-			default:
-				limit = full
 			}
 			if st.PeakResidentBytes > limit {
 				t.Fatalf("%s: PeakResidentBytes %d above %d (unbounded %d, slack %d)",

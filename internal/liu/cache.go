@@ -44,13 +44,6 @@ type CacheOptions struct {
 	// for) cannot be evicted, so a query whose own working set exceeds
 	// the budget will exceed it for the duration of that query.
 	MaxResidentBytes int64
-	// MaxProfileSegments caps how long a pathological hill–valley profile
-	// stays resident: a profile with more than this many segments
-	// (caterpillar weight patterns can reach O(depth) segments) has its
-	// segment slice dropped as soon as its parent has consumed it, and is
-	// evicted with its subtree at the first invalidation that exposes it,
-	// budget or no budget. 0 means no segment-count capping.
-	MaxProfileSegments int
 	// Done, when non-nil, is a cancellation signal (typically a
 	// context's Done channel). Bottom-up recomputation passes poll it
 	// about every cancelPollInterval recomputations and stop early once
@@ -166,7 +159,6 @@ type ProfileCache struct {
 	evictedNodes  atomic.Int64
 	slicedProfs   atomic.Int64
 	remats        atomic.Int64
-	streamedNodes atomic.Int64
 
 	sc       *cacheScratch // primary scratch (sequential queries)
 	freeIter *ScheduleIter // pooled emission iterator (see emit.go)
@@ -181,9 +173,8 @@ type CacheStats struct {
 	// PeakResidentBytes is the high-water mark of ResidentBytes, the
 	// number the MaxResidentBytes budget is calibrated against. It never
 	// reads below the true high-water mark, and reads above it only after
-	// a sharded warm (EnsureParallel) under a residency policy, by at most
-	// the workers' batched credit: 1/32 of MaxResidentBytes, or
-	// workers·128 KiB under a segment cap alone.
+	// a sharded warm (EnsureParallel) under a byte budget, by at most the
+	// workers' batched credit: 1/32 of MaxResidentBytes.
 	PeakResidentBytes int64
 	// Evictions counts subtree evictions; EvictedNodes the node profiles
 	// they reclaimed (slices and rope slots). A node counts only if it
@@ -198,12 +189,8 @@ type CacheStats struct {
 	// Rematerializations counts recomputations of clean-but-reclaimed
 	// profiles — the time cost paid for the memory bound.
 	Rematerializations int64
-	// StreamedNodes counts node profiles consumed by releasing schedule
-	// emissions (EmitScheduleRelease): their slices and rope slots were
-	// handed back to the arena as the traversal streamed out. As with
-	// EvictedNodes, a sliceless node that owns no concatenation held
-	// nothing and is not counted (the emission's root always is), so the
-	// count can fall well below the subtree's size for the same work.
+	// StreamedNodes is always 0: schedule emission hands no profiles back
+	// to the arena. The field stays for readers of CacheStats.
 	StreamedNodes int64
 }
 
@@ -277,7 +264,6 @@ func (c *ProfileCache) Stats() CacheStats {
 		EvictedNodes:       c.evictedNodes.Load(),
 		SlicedProfiles:     c.slicedProfs.Load(),
 		Rematerializations: c.remats.Load(),
-		StreamedNodes:      c.streamedNodes.Load(),
 	}
 }
 
@@ -285,7 +271,7 @@ func (c *ProfileCache) Stats() CacheStats {
 // eviction machinery is skipped entirely and the cache behaves exactly like
 // the unbounded PR 1/PR 2 cache.
 func (c *ProfileCache) policied() bool {
-	return c.opts.MaxResidentBytes > 0 || c.opts.MaxProfileSegments > 0
+	return c.opts.MaxResidentBytes > 0
 }
 
 // overBudget reports that the resident footprint, as the scratch sc sees
@@ -294,11 +280,6 @@ func (c *ProfileCache) policied() bool {
 // so workers evict early rather than late.
 func (c *ProfileCache) overBudget(sc *cacheScratch) bool {
 	return c.opts.MaxResidentBytes > 0 && c.residentBytes.Load()-sc.credit > c.opts.MaxResidentBytes
-}
-
-// heavyProfile reports that p trips the segment-count cap.
-func (c *ProfileCache) heavyProfile(p profile) bool {
-	return c.opts.MaxProfileSegments > 0 && len(p) > c.opts.MaxProfileSegments
 }
 
 // availNode reports that v's profile is resident and usable as-is.
@@ -347,9 +328,8 @@ func (c *ProfileCache) Unpin(v int) { c.pinned[v]--; c.pinCount-- }
 // Under a residency policy this is also the subtree-eviction point: once
 // the path is dirty, the clean subtrees hanging off it are exactly the
 // nodes with no profile-holding ancestor, so their rope slots can be freed
-// with no further checks. While the footprint exceeds the budget (or a
-// hanging subtree's profile trips the segment cap), those subtrees are
-// evicted deepest-first.
+// with no further checks. While the footprint exceeds the budget, those
+// subtrees are evicted deepest-first.
 func (c *ProfileCache) Invalidate(v int) {
 	a := &c.sc.arena
 	policied := c.policied()
@@ -388,9 +368,8 @@ func (c *ProfileCache) Invalidate(v int) {
 }
 
 // evictHanging evicts the clean subtrees hanging off a freshly dirtied
-// path, deepest-first, while the budget is exceeded; subtrees whose root
-// profile trips the segment cap are evicted unconditionally. Safe exactly
-// here: every candidate's ancestors have just been dirtied, so no resident
+// path, deepest-first, while the budget is exceeded. Safe exactly here:
+// every candidate's ancestors have just been dirtied, so no resident
 // profile references the candidates' rope slots.
 func (c *ProfileCache) evictHanging(cand []int, sc *cacheScratch) {
 	for _, v := range cand {
@@ -401,7 +380,7 @@ func (c *ProfileCache) evictHanging(cand []int, sc *cacheScratch) {
 		// pressure: this is a safe eviction window (the candidate's
 		// ancestors were all just dirtied), so a forced eviction must be
 		// result-neutral — the property the injection harness asserts.
-		if faultinject.Fire(faultinject.CacheEvict) || c.heavyProfile(c.prof[v]) || c.overBudget(sc) {
+		if faultinject.Fire(faultinject.CacheEvict) || c.overBudget(sc) {
 			c.evictSubtree(v, sc)
 		}
 	}
@@ -416,7 +395,7 @@ func (c *ProfileCache) NoteCandidate(v int) {
 	if !c.policied() || !c.valid[v] || c.pinned[v] != 0 {
 		return
 	}
-	if (c.prof[v] != nil && c.heavyProfile(c.prof[v])) || c.overBudget(c.sc) {
+	if c.overBudget(c.sc) {
 		c.evictSubtree(v, c.sc)
 	}
 }
@@ -635,8 +614,7 @@ func (c *ProfileCache) warmBatch(workers int) int64 {
 
 // pushConsumed registers a child profile whose parent has just merged it:
 // from here until the next invalidation of its parent, the segment slice
-// is dead weight. Heavy (over-the-segment-cap) slices are dropped on the
-// spot; the rest queue FIFO for the budget's slice tier.
+// is dead weight, queued FIFO for the budget's slice tier.
 func (c *ProfileCache) pushConsumed(sc *cacheScratch, v int) {
 	if c.prof[v] == nil || c.inSliceQ[v] {
 		return
@@ -644,15 +622,12 @@ func (c *ProfileCache) pushConsumed(sc *cacheScratch, v int) {
 	// faultinject.CacheEvict forces a mid-warm slice drop: v's parent has
 	// already merged the slice, so dropping it here is always safe and
 	// must be result-neutral (the slice is rebuilt on demand).
-	if c.pinned[v] == 0 &&
-		(faultinject.Fire(faultinject.CacheEvict) || c.heavyProfile(c.prof[v])) {
+	if c.pinned[v] == 0 && faultinject.Fire(faultinject.CacheEvict) {
 		c.evictSlice(v, sc)
 		return
 	}
-	if c.opts.MaxResidentBytes > 0 {
-		c.inSliceQ[v] = true
-		sc.sliceQ = append(sc.sliceQ, v)
-	}
+	c.inSliceQ[v] = true
+	sc.sliceQ = append(sc.sliceQ, v)
 }
 
 // slicePressure drops consumed segment slices, oldest first, until the

@@ -98,7 +98,7 @@ func TestCancelMidEmission(t *testing.T) {
 	want := NewProfileCache(tr).AppendSchedule(tr.Root(), nil)
 	c := NewProfileCacheOpts(tr, CacheOptions{MaxResidentBytes: 1 << 16, Done: closedChan()})
 	var got []int
-	c.EmitScheduleRelease(tr.Root(), func(seg []int) bool {
+	c.EmitSchedule(tr.Root(), func(seg []int) bool {
 		got = append(got, seg...)
 		return true
 	})

@@ -61,10 +61,12 @@ func MinMem(t *tree.Tree) (tree.Schedule, int64) {
 	return sched, prof[0].hill
 }
 
-// MinMemPeak returns only the optimal peak (Peak_incore in Section 6).
+// MinMemPeak returns only the optimal peak (Peak_incore in Section 6): the
+// first cumulative hill of MinMem's profile, without flattening the
+// schedule.
 func MinMemPeak(t *tree.Tree) int64 {
-	_, p := MinMem(t)
-	return p
+	prof, _ := minMemProfile(t, t.Root())
+	return prof[0].hill
 }
 
 // AllSubtreePeaks returns, for every node v, the optimal peak memory of

@@ -9,7 +9,9 @@
 // the paper's validity conditions, Peak for the M = ∞ peak-memory
 // evaluation used by the MinMem algorithms, and (*Simulator).RunStream for
 // evaluating a schedule delivered as a stream of segments without ever
-// materializing it (stream.go).
+// materializing it (stream.go). Both drive the simulator's two passes,
+// Begin/Index/Step/End, which callers that own their segments (the
+// expansion engine's finish) drive directly.
 package memsim
 
 import (

@@ -312,7 +312,7 @@ func TestHeapHoldsOnlyLiveOutputs(t *testing.T) {
 		{"random300-topological", rnd, randomTopological(rnd, rand.New(rand.NewSource(12)))},
 	}
 	for _, c := range cases {
-		n, root := c.tr.N(), c.tr.Root()
+		root := c.tr.Root()
 		lb := c.tr.MaxWBar()
 		peak, err := Peak(c.tr, c.sched)
 		if err != nil {
@@ -321,13 +321,12 @@ func TestHeapHoldsOnlyLiveOutputs(t *testing.T) {
 		for _, M := range []int64{lb, (lb + peak) / 2} {
 			for _, pol := range []EvictionPolicy{FiF, NiF, LargestFirst} {
 				var s Simulator
-				s.begin(c.tr, n)
-				if err := s.index(n, c.sched, 0); err != nil {
+				s.Begin(c.tr, root, M, pol)
+				if err := s.Index(c.sched); err != nil {
 					t.Fatal(err)
 				}
-				var st simState
 				for k := range c.sched {
-					if err := s.steps(&st, c.tr, root, M, c.sched[k:k+1], pol, false); err != nil {
+					if err := s.Step(c.sched[k : k+1]); err != nil {
 						t.Fatal(err)
 					}
 					live := 0
@@ -343,6 +342,9 @@ func TestHeapHoldsOnlyLiveOutputs(t *testing.T) {
 					if s.h.len() != live {
 						t.Fatalf("%s M=%d %v step %d: heap holds %d entries, %d live outputs", c.name, M, pol, k, s.h.len(), live)
 					}
+				}
+				if _, _, err := s.End(); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package memsim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // TreeView is the read-only structural view of a task tree that the
 // simulator needs. Both *tree.Tree and the mutable expanded trees of
@@ -32,6 +35,13 @@ type ChildRanker interface {
 // not safe for concurrent use; the package-level Run creates a fresh one
 // per call and remains safe.
 //
+// A run has two passes over the schedule, in order: an indexing pass that
+// records every node's position (the future knowledge the FiF and NiF
+// eviction keys need) and a stepping pass that simulates. Begin, Index,
+// Step and End expose them to callers that deliver the schedule in
+// segments; Run and RunStream drive them over a slice and a
+// ScheduleSource.
+//
 // The zero value is ready to use.
 type Simulator struct {
 	h        NodeHeap
@@ -41,6 +51,15 @@ type Simulator struct {
 	resident []int64
 	tau      []int64
 	trace    []StepTrace
+
+	// The run between Begin and End; ts is nil outside one.
+	ts      TreeView
+	root    int
+	M       int64
+	policy  EvictionPolicy
+	traced  bool
+	indexed int // nodes the indexing pass has positioned
+	st      simState
 }
 
 // NewSimulator returns an empty simulator; scratch grows on first use.
@@ -65,6 +84,21 @@ func (s *Simulator) Positions() []int32 { return s.pos }
 // Tau and Positions until the next Run.
 func (s *Simulator) Run(ts TreeView, root int, M int64, sched []int, policy EvictionPolicy) (io, peak int64, err error) {
 	return s.run(ts, root, M, sched, policy, false)
+}
+
+func (s *Simulator) run(ts TreeView, root int, M int64, sched []int, policy EvictionPolicy, traced bool) (int64, int64, error) {
+	s.Begin(ts, root, M, policy)
+	if traced {
+		s.traced = true
+		s.trace = s.trace[:0]
+	}
+	if err := s.Index(sched); err != nil {
+		return 0, 0, err
+	}
+	if err := s.Step(sched); err != nil {
+		return 0, 0, err
+	}
+	return s.End()
 }
 
 // ensure grows the scratch to cover n nodes.
@@ -109,25 +143,6 @@ func (s *Simulator) realloc(l, c int) {
 	s.pos, s.stamp, s.resident, s.tau = pos, stamp, resident, tau
 }
 
-func (s *Simulator) run(ts TreeView, root int, M int64, sched []int, policy EvictionPolicy, traced bool) (int64, int64, error) {
-	n := ts.N()
-	if len(sched) == 0 {
-		return 0, 0, fmt.Errorf("memsim: empty schedule")
-	}
-	s.begin(ts, n)
-	if err := s.index(n, sched, 0); err != nil {
-		return 0, 0, err
-	}
-	if traced {
-		s.trace = s.trace[:0]
-	}
-	var st simState
-	if err := s.steps(&st, ts, root, M, sched, policy, traced); err != nil {
-		return 0, 0, err
-	}
-	return st.io, st.peak, nil
-}
-
 // simState is the running state of one simulation, persisted across the
 // segments of a streamed schedule.
 type simState struct {
@@ -137,9 +152,17 @@ type simState struct {
 	step        int
 }
 
-// begin resets the simulator for a fresh run over ts.
-func (s *Simulator) begin(ts TreeView, n int) {
-	s.ensure(n)
+// errNoRun is returned by a pass method called outside a run: before
+// Begin, after End, or after an earlier pass of the run failed.
+var errNoRun = errors.New("memsim: no run in progress")
+
+// Begin starts a run that simulates the subtree rooted at root of ts under
+// memory bound M, deriving τ with the given eviction policy. Deliver the
+// schedule to Index in segments, in order, then the identical sequence to
+// Step, then call End; a run that stops early must still call End. The
+// simulator keeps ts until End, or until a pass fails.
+func (s *Simulator) Begin(ts TreeView, root int, M int64, policy EvictionPolicy) {
+	s.ensure(ts.N())
 	s.gen++
 	s.h.clear()
 	if rk, ok := ts.(ChildRanker); ok {
@@ -147,49 +170,94 @@ func (s *Simulator) begin(ts TreeView, n int) {
 	} else {
 		s.h.rank = nil
 	}
+	s.ts, s.root, s.M, s.policy, s.traced = ts, root, M, policy, false
+	s.indexed, s.st = 0, simState{}
 }
 
-// index is the position-assignment pass over one schedule segment starting
-// at global position offset: range and permutation checks plus pos/τ/
-// resident resets. Resetting resident and τ for exactly the scheduled
-// nodes keeps the run correct after an earlier errored run left stale
-// entries (stale entries of other nodes are never read: every node the
-// simulation touches is validated to be in the schedule).
-func (s *Simulator) index(n int, seg []int, offset int) error {
+// Index is the indexing pass over the next segment of the schedule: range
+// and permutation checks plus the position, τ and resident resets of its
+// nodes. Resetting resident and τ for exactly the scheduled nodes keeps
+// the run correct after an earlier errored run left stale entries (stale
+// entries of other nodes are never read: every node the simulation
+// touches is validated to be in the schedule). An error ends the run.
+func (s *Simulator) Index(seg []int) error {
+	if s.ts == nil {
+		return errNoRun
+	}
+	n := s.ts.N()
 	gen := s.gen
 	for k, v := range seg {
 		if v < 0 || v >= n {
-			return fmt.Errorf("memsim: schedule entry %d out of range [0, %d)", v, n)
+			return s.fail(fmt.Errorf("memsim: schedule entry %d out of range [0, %d)", v, n))
 		}
 		if s.stamp[v] == gen {
-			return fmt.Errorf("memsim: node %d scheduled twice", v)
+			return s.fail(fmt.Errorf("memsim: node %d scheduled twice", v))
 		}
 		s.stamp[v] = gen
-		s.pos[v] = int32(offset + k)
+		s.pos[v] = int32(s.indexed + k)
 		s.resident[v] = 0
 		s.tau[v] = 0
 	}
+	s.indexed += len(seg)
 	return nil
 }
 
-// steps executes the simulation over one schedule segment, continuing from
-// st. Every node must have been indexed first; a node arriving out of its
-// indexed position (a second streaming pass that diverged from the first)
-// is rejected.
-func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []int, policy EvictionPolicy, traced bool) error {
-	n := ts.N()
+// End closes the run. It returns the total I/O volume and the peak demand
+// once Step has covered exactly the nodes Index positioned, and an error
+// for an empty schedule, a stepping pass that fell short, or a run that
+// already failed. Either way the simulator drops its references to the
+// run's TreeView; τ and positions stay readable through Tau and Positions.
+func (s *Simulator) End() (io, peak int64, err error) {
+	switch {
+	case s.ts == nil:
+		err = errNoRun
+	case s.indexed == 0:
+		err = fmt.Errorf("memsim: empty schedule")
+	case s.st.step != s.indexed:
+		err = fmt.Errorf("memsim: stream delivered %d nodes on the second pass, %d on the first", s.st.step, s.indexed)
+	default:
+		io, peak = s.st.io, s.st.peak
+	}
+	s.drop()
+	return io, peak, err
+}
+
+// fail ends the run with err.
+func (s *Simulator) fail(err error) error {
+	s.drop()
+	return err
+}
+
+// drop releases the run's TreeView and the child ranks borrowed from it,
+// so a reused simulator does not keep the last tree alive.
+func (s *Simulator) drop() {
+	s.ts, s.h.rank = nil, nil
+}
+
+// Step is the stepping pass over the next segment of the schedule, which
+// continues the simulation where the previous segment left it. Every node
+// must have been indexed first; a node arriving out of its indexed
+// position (a second pass that diverged from the first) is rejected. An
+// error ends the run.
+func (s *Simulator) Step(seg []int) error {
+	ts := s.ts
+	if ts == nil {
+		return errNoRun
+	}
+	n, root, M, policy, traced := ts.N(), s.root, s.M, s.policy, s.traced
+	st := &s.st
 	gen := s.gen
 	residentSum, ioSum, peak := st.residentSum, st.io, st.peak
 	for _, v := range seg {
 		step := st.step
 		st.step++
 		if v < 0 || v >= n || s.stamp[v] != gen || s.pos[v] != int32(step) {
-			return fmt.Errorf("memsim: node %d at step %d does not match the indexing pass", v, step)
+			return s.fail(fmt.Errorf("memsim: node %d at step %d does not match the indexing pass", v, step))
 		}
 		if v != root {
 			p := ts.Parent(v)
 			if p < 0 || p >= n || s.stamp[p] != gen || s.pos[p] < int32(step) {
-				return fmt.Errorf("memsim: node %d executed without its parent scheduled later", v)
+				return s.fail(fmt.Errorf("memsim: node %d executed without its parent scheduled later", v))
 			}
 		}
 		// The children of v leave the active set: their outputs are
@@ -199,7 +267,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 		var cs int64
 		for _, c := range ts.Children(v) {
 			if s.stamp[c] != gen || s.pos[c] > int32(step) {
-				return fmt.Errorf("memsim: node %d executed before its child %d", v, c)
+				return s.fail(fmt.Errorf("memsim: node %d executed before its child %d", v, c))
 			}
 			residentSum -= s.resident[c]
 			s.resident[c] = 0
@@ -213,7 +281,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 			need = w
 		}
 		if need > M {
-			return fmt.Errorf("memsim: node %d needs w̄=%d > M=%d", v, need, M)
+			return s.fail(fmt.Errorf("memsim: node %d needs w̄=%d > M=%d", v, need, M))
 		}
 		before := residentSum + need
 		if before > peak {
@@ -228,7 +296,7 @@ func (s *Simulator) steps(st *simState, ts TreeView, root int, M int64, seg []in
 				victim = s.h.Peek()
 			}
 			if victim < 0 {
-				return fmt.Errorf("memsim: internal error: overflow with empty active set at step %d", step)
+				return s.fail(fmt.Errorf("memsim: internal error: overflow with empty active set at step %d", step))
 			}
 			overflow := residentSum + need - M
 			take := s.resident[victim]

@@ -1,10 +1,6 @@
 package memsim
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ScheduleSource produces a schedule as a stream of segments: it calls
 // yield with successive segments in traversal order and stops early if
@@ -26,78 +22,23 @@ var ErrStreamStopped = errors.New("memsim: schedule stream stopped early")
 //
 // The source is invoked exactly twice and must deliver the identical node
 // sequence both times (streamed emissions are deterministic walks, so this
-// holds for them by construction): the first pass assigns schedule
-// positions — the future knowledge the FiF/NiF eviction keys need — and
-// validates the permutation; the second pass runs the simulation. A
-// divergence between the passes is detected and rejected. The only
+// holds for them by construction): the first pass feeds Index, the second
+// Step. A divergence between the passes is detected and rejected. The only
 // per-run transient beyond the simulator's preallocated node-indexed
 // scratch is the source's segment, so verifying a streamed schedule adds
-// O(segment) resident memory, not O(n): the n-word schedule of the old
-// Run path never exists.
+// O(segment) resident memory, not O(n).
 func (s *Simulator) RunStream(ts TreeView, root int, M int64, source ScheduleSource, policy EvictionPolicy) (io, peak int64, err error) {
-	n := ts.N()
-	s.begin(ts, n)
-	total := 0
-	var serr error
-	complete := source(func(seg []int) bool {
-		if serr = s.index(n, seg, total); serr != nil {
-			return false
-		}
-		total += len(seg)
-		return true
-	})
-	if serr != nil {
-		return 0, 0, serr
-	}
-	if !complete {
+	s.Begin(ts, root, M, policy)
+	var perr error
+	index := func(seg []int) bool { perr = s.Index(seg); return perr == nil }
+	step := func(seg []int) bool { perr = s.Step(seg); return perr == nil }
+	complete := source(index) && perr == nil && source(step) && perr == nil
+	io, peak, err = s.End()
+	switch {
+	case perr != nil:
+		return 0, 0, perr
+	case !complete:
 		return 0, 0, ErrStreamStopped
-	}
-	if total == 0 {
-		return 0, 0, fmt.Errorf("memsim: empty schedule")
-	}
-	var st simState
-	complete = source(func(seg []int) bool {
-		serr = s.steps(&st, ts, root, M, seg, policy, false)
-		return serr == nil
-	})
-	if serr != nil {
-		return 0, 0, serr
-	}
-	if !complete || st.step != total {
-		if serr == nil && !complete {
-			return 0, 0, ErrStreamStopped
-		}
-		return 0, 0, fmt.Errorf("memsim: stream delivered %d nodes on the second pass, %d on the first", st.step, total)
-	}
-	return st.io, st.peak, nil
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation at segment
-// granularity: before consuming each segment of either pass it checks the
-// context, and a pending cancellation aborts the run with ctx.Err()
-// instead of ErrStreamStopped. A nil context — or one that can never be
-// cancelled, like context.Background(), whose Done channel is nil — takes
-// the exact RunStream path with zero per-segment overhead.
-func (s *Simulator) RunStreamCtx(ctx context.Context, ts TreeView, root int, M int64, source ScheduleSource, policy EvictionPolicy) (io, peak int64, err error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.RunStream(ts, root, M, source, policy)
-	}
-	done := ctx.Done()
-	canceled := false
-	wrapped := func(yield func(seg []int) bool) bool {
-		return source(func(seg []int) bool {
-			select {
-			case <-done:
-				canceled = true
-				return false
-			default:
-			}
-			return yield(seg)
-		})
-	}
-	io, peak, err = s.RunStream(ts, root, M, wrapped, policy)
-	if canceled {
-		return 0, 0, ctx.Err()
 	}
 	return io, peak, err
 }

@@ -143,8 +143,8 @@ func ScheduleTuned(t *Tree, M int64, alg Algorithm, tn Tuning) (*Result, error) 
 // returned Result carries a nil Schedule; IO and Peak are bit-identical
 // to ScheduleTuned's, and the streamed segments concatenate to exactly
 // its Schedule. See DESIGN.md §2.8 for why this is the path that opens
-// >10⁸-node trees: the engine's schedule ropes are released as the
-// emission advances, so no Θ(n) answer is ever resident.
+// >10⁸-node trees: the engine checks and emits the schedule segment by
+// segment, so no n-word answer is ever resident.
 func ScheduleStreamed(t *Tree, M int64, alg Algorithm, tn Tuning, yield func(seg []int) bool) (*Result, error) {
 	if alg != RecExpand && alg != FullRecExpand {
 		return nil, fmt.Errorf("repro: ScheduleStreamed supports RecExpand and FullRecExpand, not %q", alg)
